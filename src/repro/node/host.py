@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 from .monitor import ThresholdMonitor
 from .queue import QueueFull, WorkQueue
 from .resources import ResourcePool
-from .task import Task, TaskOutcome
+from .task import Task, TaskOutcome, TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.api import SchedulerAPI
@@ -134,7 +134,14 @@ class Host:
         A refusal here is a plain miss: it does not count toward
         ``rejected_here`` (which tracks :meth:`accept` raises, i.e. callers
         that skipped the check).
+
+        A task already settled elsewhere (COMPLETED or REJECTED — e.g. a
+        late admission request for a task its requester gave up on) is
+        refused before the pool or queue is touched.
         """
+        status = task.status
+        if status is TaskStatus.COMPLETED or status is TaskStatus.REJECTED:
+            return None
         if self.pool is not None and task.demand:
             if not self.pool.fits(task.demand):
                 return None

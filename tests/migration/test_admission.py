@@ -7,6 +7,7 @@ from repro.network.faults import FaultManager
 from repro.network.generators import mesh
 from repro.network.transport import Transport
 from repro.node.host import Host
+from repro.node.resources import ResourcePool
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.sim.kernel import Simulator
 
@@ -122,3 +123,37 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             AdmissionControl(sim, Transport(sim, mesh(2, 2)), hosts[0],
                              reply_timeout=0.0)
+
+
+class TestStaleRequest:
+    def test_request_arriving_after_requester_gave_up_is_refused(self):
+        """The requester times out and rejects the task while its
+        ADMIT_REQ is still in flight; the late request must get a plain
+        refusal, leaving the responder's queue and pool untouched."""
+        sim = Simulator()
+        topo = mesh(2, 2)
+        tr = Transport(sim, topo, per_hop_latency=1.0)
+        hosts = {
+            n: Host(sim, n, capacity=100.0, pool=ResourcePool.of(bandwidth=8.0))
+            for n in topo.nodes()
+        }
+        acs = {
+            n: AdmissionControl(sim, tr, hosts[n], reply_timeout=0.5)
+            for n in topo.nodes()
+        }
+        t = Task(size=5.0, arrival_time=0.0, origin=0, demand={"bandwidth": 4.0})
+        outcomes = []
+
+        def give_up(granted):
+            outcomes.append((granted, acs[0].last_reason))
+            if not granted:
+                t.mark_rejected()
+
+        acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, give_up)
+        sim.run(until=10.0)  # timeout at 0.5, request lands at 1.0
+        assert outcomes == [(False, "timeout")]
+        assert acs[1].requests_received == 1
+        assert acs[1].requests_granted == 0
+        assert len(hosts[1].queue) == 0
+        assert hosts[1].pool.availability_vector() == {"bandwidth": 8.0}
+        assert t.status is TaskStatus.REJECTED and t.migrations == 0

@@ -1,7 +1,7 @@
 """Regression tests: epoch-scoped flood structure vs. liveness changes.
 
-The transport caches its flood spanning structure (component labels,
-receiver tuples, link counts) and its live router per *liveness epoch* —
+The transport's live router derives its overlay — distance rows,
+component labels, receiver tuples, link counts — per *liveness epoch*,
 the ``(topology version, fault-manager version)`` key.  These tests pin
 the invalidation contract the caching must honour: failing a bridge link
 mid-run partitions every subsequent flood, restoring it reconnects them,

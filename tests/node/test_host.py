@@ -110,6 +110,27 @@ class TestTryAccept:
         assert host.try_accept(t, TaskOutcome.LOCAL) is None
         assert len(host.queue) == 0
 
+    @pytest.mark.parametrize("settle", ["mark_rejected", "mark_lost"])
+    def test_settled_task_refused_without_side_effects(self, settle):
+        """A stale request for a task its requester already settled is
+        a plain refusal: no pool hold, no queue entry, no raise."""
+        sim, host = make(pool=ResourcePool.of(bandwidth=8.0))
+        t = task(5.0, demand={"bandwidth": 4.0})
+        getattr(t, settle)()
+        assert host.try_accept(t, TaskOutcome.MIGRATED) is None
+        assert len(host.queue) == 0
+        assert host.pool.availability_vector() == {"bandwidth": 8.0}
+        assert t.status is TaskStatus.REJECTED
+
+    def test_completed_task_refused(self):
+        sim, host = make()
+        t = task(1.0)
+        host.try_accept(t, TaskOutcome.LOCAL)
+        sim.run()
+        assert t.status is TaskStatus.COMPLETED
+        assert host.try_accept(t, TaskOutcome.MIGRATED) is None
+        assert len(host.queue) == 0
+
 
 class TestMultiResource:
     def test_demand_allocated_and_released(self):

@@ -88,13 +88,15 @@ class TestEventQueueTieOrdering:
 
 
 def _flood_receivers(transport, src):
-    """Ground-truth receiver set computed fresh (no cache)."""
-    transport._epoch = None
-    transport._flood_cache.clear()
-    receivers, links = transport._flood_structure(src)
-    transport._epoch = None
-    transport._flood_cache.clear()
-    return receivers, links
+    """Ground-truth receiver set computed fresh (no cache): a new
+    transport over the same overlay and liveness predicates."""
+    fresh = Transport(
+        Simulator(), transport.topo,
+        is_up=transport.is_up,
+        link_up=transport.link_up,
+        liveness_version=transport.liveness_version,
+    )
+    return fresh._flood_structure(src)
 
 
 class TestFloodCacheCoherence:

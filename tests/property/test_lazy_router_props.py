@@ -7,16 +7,21 @@ exactly what the dense-matrix :class:`~repro.network.routing.EagerRouter`
 would have answered — distances, aggregates, and the exact float of the
 mean shortest path (the PLEDGE cost feeds straight into the figures).
 These tests pin that equivalence on seeded random topologies, across
-topology mutations, and across fail-link/restore-link fault sequences.
+topology mutations, across fail-link/restore-link fault sequences, in
+any order of symmetric point and row queries, and for the transport's
+single live router, which masks its CSR under random crash, compromise,
+recover, link and join schedules.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.faults import FaultManager
 from repro.network.routing import EagerRouter, Router, shortest_path
 from repro.network.topology import Topology
+from repro.network.transport import Transport
 from repro.sim.kernel import Simulator
 
 
@@ -162,3 +167,144 @@ class TestEquivalenceUnderFaults:
             live = faults.live_topology()
             assert live.num_links == len(links) - len(failed)
             assert_equivalent(Router(live), EagerRouter(live), live)
+
+
+class TestSymmetricLookups:
+    @given(random_topologies(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_query_order_matches_eager(self, topo, data):
+        """A distance may come from either endpoint's cached row; every
+        interleaving of point queries (both orders) and row queries
+        answers what the eager oracle answers."""
+        lazy, eager = Router(topo), EagerRouter(topo)
+        nodes = topo.nodes()
+        ops = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(["distance", "reverse", "from", "within", "ecc"]),
+                st.sampled_from(nodes),
+                st.sampled_from(nodes),
+            ),
+            max_size=30,
+        ))
+        for op, a, b in ops:
+            if op == "distance":
+                assert lazy.distance(a, b) == eager.distance(a, b)
+            elif op == "reverse":
+                assert lazy.distance(b, a) == eager.distance(a, b)
+            elif op == "from":
+                assert lazy.distances_from(a) == eager.distances_from(a)
+            elif op == "within":
+                assert lazy.within(a, 2) == eager.within(a, 2)
+            else:
+                assert lazy.eccentricity(a) == eager.eccentricity(a)
+        assert_equivalent(lazy, eager, topo)
+
+
+LIVENESS_OPS = ["crash", "compromise", "recover", "fail_link", "restore_link", "join"]
+
+
+@st.composite
+def liveness_schedules(draw):
+    """A topology plus a random node/link liveness and growth schedule."""
+    topo = draw(random_topologies())
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(LIVENESS_OPS), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=12,
+    ))
+    return topo, ops
+
+
+def wired(topo):
+    faults = FaultManager(Simulator(), topo)
+    transport = Transport(
+        faults.sim, topo,
+        is_up=faults.can_communicate,
+        link_up=faults.link_up,
+        liveness_version=lambda: faults.version,
+    )
+    return faults, transport
+
+
+def ground_truth_overlay(topo, faults):
+    """The communicating subgraph minus failed links, built from scratch."""
+    live = topo.subgraph([n for n in topo.nodes() if faults.can_communicate(n)])
+    for u, v in live.links():
+        if not faults.link_up(u, v):
+            live.remove_link(u, v)
+    return live
+
+
+def apply(op, k, topo, faults):
+    nodes = topo.nodes()
+    node = nodes[k % len(nodes)]
+    if op == "crash":
+        faults.crash(node)
+    elif op == "compromise":
+        faults.compromise(node)
+    elif op == "recover":
+        faults.recover(node)
+    elif op == "join":
+        new = max(nodes) + 1
+        topo.add_node(new)
+        topo.add_link(new, node)
+    elif topo.num_links:
+        u, v = topo.links()[k % topo.num_links]
+        if op == "fail_link":
+            faults.fail_link(u, v)
+        else:
+            faults.restore_link(u, v)
+
+
+class TestMaskedLiveRouter:
+    @given(liveness_schedules())
+    @settings(max_examples=40, deadline=None)
+    def test_live_router_matches_fresh_oracle(self, case):
+        """One live router for the whole schedule answers, after every
+        step, what a fresh eager router over the rebuilt live overlay
+        answers; flood receivers and link counts match a fresh
+        component computation."""
+        topo, ops = case
+        faults, transport = wired(topo)
+        router = transport.live_router()
+        for op, k in ops:
+            apply(op, k, topo, faults)
+            live = ground_truth_overlay(topo, faults)
+            assert transport.live_router() is router
+            assert_equivalent(router, EagerRouter(live), live)
+            nodes, mat = router.matrix()
+            assert nodes == live.nodes()
+            assert np.array_equal(mat, EagerRouter(live).matrix()[1])
+            for dead in set(topo.nodes()) - set(live.nodes()):
+                with pytest.raises(KeyError):
+                    router.distance(dead, dead)
+                assert transport._flood_structure(dead) == ((), 0)
+            for comp in live.connected_components():
+                links = sum(1 for u, _ in live.links() if u in comp)
+                for src in comp:
+                    receivers = tuple(sorted(comp - {src}))
+                    assert transport._flood_structure(src) == (receivers, links)
+
+
+class TestEpochReuse:
+    @given(random_topologies(), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_compromise_keeps_rows_and_crash_moves_the_epoch(self, topo, k):
+        """A compromised node still communicates, so the overlay and every
+        cached row survive the liveness bump; a crash changes the overlay
+        and the next query computes a fresh row."""
+        nodes = topo.nodes()
+        victim = nodes[k % len(nodes)]
+        others = [n for n in nodes if n != victim]
+        faults, transport = wired(topo)
+        router = transport.live_router()
+        answers = [router.distance(a, others[0]) for a in others]
+        rows = router.rows_computed
+        faults.compromise(victim)
+        assert [router.distance(a, others[0]) for a in others] == answers
+        faults.recover(victim)
+        assert [router.distance(a, others[0]) for a in others] == answers
+        assert router.rows_computed == rows
+        faults.crash(victim)
+        router.distance(others[0], others[-1])
+        assert router.rows_computed == rows + 1
