@@ -473,6 +473,7 @@ class LiveRuntime:
             "scheduler": {
                 "events_executed": self.sim.events_executed,
                 "late_events": self.sim.late_events,
+                "worst_lag": self.sim.worst_lag,
             },
             "drained": self.drained,
             "clean_shutdown": self.clean_shutdown,
