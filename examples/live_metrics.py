@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Instrumenting a run: time series, samplers and terminal charts.
+"""Instrumenting a run: time series, the metrics registry and terminal charts.
 
 The figure harness reports end-of-run aggregates; this walk-through
-shows the *trajectory* instrumentation: a `Sampler` records per-node
-queue usage and REALTOR's adaptive HELP interval over time, and the
+shows the *trajectory* instrumentation: `MetricsRegistry` gauges record
+mean queue usage and REALTOR's adaptive HELP interval over time, and the
 ASCII renderer draws them — watch the interval pin itself at
 Upper_limit as a load burst arrives, and release afterwards (the
 Algorithm H dynamics of the paper, live).
@@ -11,9 +11,16 @@ Algorithm H dynamics of the paper, live).
 Run:  python examples/live_metrics.py
 """
 
+import itertools
+
 from repro import paper_config, build_system
 from repro.analysis.ascii_chart import render
-from repro.metrics.series import Sampler
+from repro.obs.registry import MetricsRegistry
+
+#: burst tasks are numbered from here: the run numbers its own tasks
+#: from 0, and two resident tasks sharing an id would collide in a
+#: host's queue index
+BURST_TASK_IDS = 1 << 40
 
 
 def main() -> None:
@@ -26,6 +33,8 @@ def main() -> None:
     from repro.node.task import Task
     from repro.workload.arrivals import ArrivalGenerator, PoissonArrivals
 
+    burst_ids = itertools.count(BURST_TASK_IDS)
+
     def start_burst() -> None:
         burst = PoissonArrivals(8.0, system.sim.streams.stream("burst"))
 
@@ -34,6 +43,7 @@ def main() -> None:
                 size=float(system.sim.streams.stream("burst-sizes").exponential(5.0)),
                 arrival_time=system.sim.now,
                 origin=origin,
+                task_id=next(burst_ids),
             )
             system.coordinator.place_task(task)
 
@@ -42,19 +52,21 @@ def main() -> None:
 
     system.sim.at(600.0, start_burst)
 
-    sampler = Sampler(system.sim, interval=20.0)
-    usage = sampler.watch(
+    registry = MetricsRegistry(system.sim, interval=20.0)
+    registry.gauge(
         "mean-usage",
         lambda: sum(h.usage() for h in system.hosts.values()) / len(system.hosts),
     )
-    interval = sampler.watch(
-        "help-interval",
-        lambda: system.mean_help_interval() or 0.0,
-    )
-    staleness = sampler.watch("view-staleness", system.mean_view_staleness)
+    registry.gauge("help-interval", lambda: system.mean_help_interval() or 0.0)
+    registry.gauge("view-staleness", system.mean_view_staleness)
+    registry.start()
 
     system.run()
+    registry.finish()
     res = system.result()
+    usage = registry.series["mean-usage"]
+    interval = registry.series["help-interval"]
+    staleness = registry.series["view-staleness"]
 
     xs = usage.times.tolist()
     print(render(

@@ -1,18 +1,23 @@
 """System assembly and single-run execution.
 
-:func:`build_system` wires every substrate for one
-:class:`~repro.experiments.config.ExperimentConfig`;
-:func:`run_experiment` drives it to the horizon and returns the
-:class:`~repro.metrics.collector.RunResult`.  The assembled
-:class:`System` is also exposed directly for tests and examples that
-need to poke at internals mid-run.
+:func:`assemble` wires every substrate for one
+:class:`~repro.experiments.config.ExperimentConfig` against a scheduler
+and transport factory from either side of the runtime seam
+(:mod:`repro.runtime.api`).  :func:`build_system` hands it the
+simulator and the simulated transport, and the live runtime
+(:mod:`repro.live.runtime`) hands it the wall-clock ones, so sim and
+live build the same hosts, agents, admission controls, coordinator and
+workload.  :func:`run_experiment` drives a simulated system to the
+horizon and returns the :class:`~repro.metrics.collector.RunResult`.
+The assembled :class:`System` is also exposed directly for tests and
+examples that need to poke at internals mid-run.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.realtor import RealtorAgent
 from ..metrics.collector import MetricsCollector, RunResult
@@ -41,7 +46,10 @@ from ..workload.fleet import NodeParams, fleet_summary, node_params
 from ..workload.sizes import make_sampler
 from .config import ExperimentConfig
 
-__all__ = ["System", "build_system", "run_experiment"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runtime.api import SchedulerAPI, TransportAPI
+
+__all__ = ["System", "assemble", "build_system", "run_experiment"]
 
 
 def _build_topology(cfg: ExperimentConfig) -> Topology:
@@ -107,13 +115,18 @@ def _cost_model(cfg: ExperimentConfig) -> CostModel:
 
 @dataclass
 class System:
-    """A fully wired simulation, ready to run."""
+    """A fully wired system, ready to run.
+
+    ``sim`` and ``transport`` are the simulated ones from
+    :func:`build_system`, or the live ones when the live runtime
+    assembled it (:meth:`run` and :meth:`result` are simulator-only).
+    """
 
     cfg: ExperimentConfig
-    sim: Simulator
+    sim: "SchedulerAPI"
     topo: Topology
     faults: FaultManager
-    transport: Transport
+    transport: "TransportAPI"
     hosts: Dict[int, Host]
     agents: Dict[int, DiscoveryAgent]
     admissions: Dict[int, AdmissionControl]
@@ -171,51 +184,19 @@ class System:
         # have used at build time (streams are seeded by name, not by
         # creation order), so a node's parameters do not depend on when
         # it joins — part of the churn determinism contract.
-        params = node_params(
-            self.cfg.fleet,
-            self.sim.streams,
-            node_id,
-            default_capacity=self.cfg.queue_capacity,
-            default_threshold=self.cfg.protocol_config.threshold,
-        )
-        if self.fleet_params is not None:
-            self.fleet_params[node_id] = params
-        host = Host(
-            self.sim,
-            node_id,
-            capacity=params.capacity,
-            threshold=params.threshold,
-            pool=_build_pool(self.cfg, node_id, params.resource_scale),
-            on_complete=self.metrics.task_completed,
-            speed=params.speed,
-        )
-        ctx = ProtocolContext(
-            sim=self.sim,
-            transport=self.transport,
-            host=host,
-            config=self.cfg.protocol_config,
-            all_nodes=self.topo.nodes(),
-            is_safe=(lambda nid=node_id: self.faults.is_up(nid)),
-        )
-        agent = make_agent(self.cfg.protocol, ctx)
-        from ..migration.admission import AdmissionControl as _AC
-
-        pledge_policy = getattr(agent, "pledges", None) or getattr(
-            agent, "pledge_policy", None
-        )
-        admission = _AC(
+        host, agent, admission = _build_node(
+            self.cfg,
             self.sim,
             self.transport,
-            host,
-            on_request_observed=(
-                pledge_policy.observe_request if pledge_policy else None
-            ),
-            accepting=(lambda nid=node_id: self.faults.is_up(nid)),
+            self.faults,
+            self.metrics,
+            node_id,
+            self.topo.nodes(),
+            self.fleet_params,
         )
         self.hosts[node_id] = host
         self.agents[node_id] = agent
         self.admissions[node_id] = admission
-        agent.start()
         self.sim.trace.emit(self.sim.now, "join", node=node_id, peers=list(peers))
 
     def remove_node(self, node_id: int, *, graceful: bool = True) -> None:
@@ -339,89 +320,148 @@ class System:
         )
 
 
+def _build_node(
+    cfg: ExperimentConfig,
+    sim: "SchedulerAPI",
+    transport: "TransportAPI",
+    faults: FaultManager,
+    metrics: MetricsCollector,
+    node_id: int,
+    all_nodes: List[int],
+    fleet_params: Optional[Dict[int, NodeParams]],
+    state: Optional[NodeStateArrays] = None,
+) -> Tuple[Host, DiscoveryAgent, AdmissionControl]:
+    """One node's stack — host, started discovery agent, admission control.
+
+    Shared by the t=0 build and churn joins.  ``state`` is the shared
+    numpy mirror the host writes through (None for joiners, whose scalar
+    state stays authoritative).
+    """
+    # Heterogeneous fleet: (capacity, speed, threshold, resource scale)
+    # come from the node's own named stream; fleet=None keeps the uniform
+    # paper fleet and touches no stream at all.
+    params = node_params(
+        cfg.fleet,
+        sim.streams,
+        node_id,
+        default_capacity=cfg.queue_capacity,
+        default_threshold=cfg.protocol_config.threshold,
+    )
+    if fleet_params is not None:
+        fleet_params[node_id] = params
+    host = Host(
+        sim,
+        node_id,
+        capacity=params.capacity,
+        threshold=params.threshold,
+        pool=_build_pool(cfg, node_id, params.resource_scale),
+        on_complete=metrics.task_completed,
+        speed=params.speed,
+    )
+    if state is not None:
+        host.bind_state(state)
+
+    def is_up() -> bool:
+        return faults.is_up(node_id)
+
+    ctx = ProtocolContext(
+        sim=sim,
+        transport=transport,
+        host=host,
+        config=cfg.protocol_config,
+        all_nodes=all_nodes,
+        is_safe=is_up,
+    )
+    agent = make_agent(cfg.protocol, ctx)
+    pledge_policy = getattr(agent, "pledges", None) or getattr(
+        agent, "pledge_policy", None
+    )
+    admission = AdmissionControl(
+        sim,
+        transport,
+        host,
+        on_request_observed=(
+            pledge_policy.observe_request if pledge_policy is not None else None
+        ),
+        accepting=is_up,
+    )
+    agent.start()
+    return host, agent, admission
+
+
 def build_system(cfg: ExperimentConfig) -> System:
     """Assemble every component for ``cfg`` (nothing runs yet)."""
     sim = Simulator(seed=cfg.seed, trace=Tracer(enabled=cfg.trace))
+    metrics = MetricsCollector()
+
+    def make_transport(topo: Topology, faults: FaultManager) -> Transport:
+        # The impairment engine gets its own named substream so lossy
+        # runs share common random numbers (arrivals, sizes...) with
+        # clean ones; when disabled the stream is never instantiated.
+        impairments = None
+        if cfg.impairments is not None and cfg.impairments.enabled:
+            impairments = NetworkImpairments(
+                cfg.impairments, sim.streams.stream("impairments")
+            )
+        return Transport(
+            sim,
+            topo,
+            # the transport's liveness is communication ability: a
+            # compromised node still talks (to evacuate); only crashed
+            # nodes fall silent
+            is_up=faults.can_communicate,
+            # failed links drop out of floods and unicast routes alike
+            link_up=faults.link_up,
+            liveness_version=lambda: faults.version,
+            cost_model=_cost_model(cfg),
+            per_hop_latency=cfg.per_hop_latency,
+            on_cost=metrics.on_cost,
+            impairments=impairments,
+        )
+
+    return assemble(cfg, sim, metrics, make_transport)
+
+
+def assemble(
+    cfg: ExperimentConfig,
+    sim: "SchedulerAPI",
+    metrics: MetricsCollector,
+    make_transport: Callable[[Topology, FaultManager], "TransportAPI"],
+) -> System:
+    """Wire one system for ``cfg`` on whichever side of the runtime seam
+    ``sim`` and ``make_transport(topo, faults)`` belong to.
+
+    :func:`build_system` passes the :class:`Simulator` and the simulated
+    :class:`Transport`; the live runtime passes its wall-clock scheduler
+    and live transport.  Everything between them is built here, once.
+    """
     topo = _build_topology(cfg)
     faults = FaultManager(sim, topo)
-    metrics = MetricsCollector()
-    # The impairment engine gets its own named substream so lossy runs
-    # share common random numbers (arrivals, sizes...) with clean ones;
-    # when disabled the stream is never even instantiated.
-    impairments = None
-    if cfg.impairments is not None and cfg.impairments.enabled:
-        impairments = NetworkImpairments(
-            cfg.impairments, sim.streams.stream("impairments")
-        )
-    transport = Transport(
-        sim,
-        topo,
-        # the transport's liveness is communication ability: a compromised
-        # node still talks (to evacuate); only crashed nodes fall silent
-        is_up=faults.can_communicate,
-        # failed links drop out of floods and unicast routes alike
-        link_up=faults.link_up,
-        liveness_version=lambda: faults.version,
-        cost_model=_cost_model(cfg),
-        per_hop_latency=cfg.per_hop_latency,
-        on_cost=metrics.on_cost,
-        impairments=impairments,
-    )
+    transport = make_transport(topo, faults)
     nodes = topo.nodes()
-
-    # Heterogeneous fleet: each node's (capacity, speed, threshold,
-    # resource scale) comes from its own named stream; fleet=None keeps
-    # the uniform paper fleet and touches no stream at all.
-    fleet_params: Optional[Dict[int, NodeParams]] = (
-        {} if cfg.fleet is not None else None
-    )
-    hosts: Dict[int, Host] = {}
-    for nid in nodes:
-        params = node_params(
-            cfg.fleet,
-            sim.streams,
-            nid,
-            default_capacity=cfg.queue_capacity,
-            default_threshold=cfg.protocol_config.threshold,
-        )
-        if fleet_params is not None:
-            fleet_params[nid] = params
-        hosts[nid] = Host(
-            sim,
-            nid,
-            capacity=params.capacity,
-            threshold=params.threshold,
-            pool=_build_pool(cfg, nid, params.resource_scale),
-            on_complete=metrics.task_completed,
-            speed=params.speed,
-        )
 
     # Shared numpy mirror of per-node state: every queue/monitor mutation
     # and every liveness transition writes through, so overlay-wide
     # censuses (view priming, availability snapshots) are one array op
     # instead of V Python calls.
     state = NodeStateArrays(nodes)
-    for nid in nodes:
-        hosts[nid].bind_state(state)
     faults.attach_state(state)
 
     # One shared (never-mutated) node list across all agent contexts —
     # per-agent copies are O(V^2) memory once the topology axis reaches
     # thousands of nodes.
     shared_nodes = list(nodes)
+    fleet_params: Optional[Dict[int, NodeParams]] = (
+        {} if cfg.fleet is not None else None
+    )
+    hosts: Dict[int, Host] = {}
     agents: Dict[int, DiscoveryAgent] = {}
+    admissions: Dict[int, AdmissionControl] = {}
     for nid in nodes:
-        ctx = ProtocolContext(
-            sim=sim,
-            transport=transport,
-            host=hosts[nid],
-            config=cfg.protocol_config,
-            all_nodes=shared_nodes,
-            is_safe=(lambda nid=nid: faults.is_up(nid)),
+        hosts[nid], agents[nid], admissions[nid] = _build_node(
+            cfg, sim, transport, faults, metrics, nid, shared_nodes,
+            fleet_params, state,
         )
-        agent = make_agent(cfg.protocol, ctx)
-        agents[nid] = agent
-        agent.start()
 
     if cfg.prime_views:
         # One vectorized snapshot of every host feeds all V primings —
@@ -435,23 +475,6 @@ def build_system(cfg: ExperimentConfig) -> System:
         }
         for agent in agents.values():
             agent.prime_view(hosts, snapshots=snapshots)
-
-    admissions: Dict[int, AdmissionControl] = {}
-    for nid in nodes:
-        agent = agents[nid]
-        observer = None
-        pledge_policy = getattr(agent, "pledges", None) or getattr(
-            agent, "pledge_policy", None
-        )
-        if pledge_policy is not None:
-            observer = pledge_policy.observe_request
-        admissions[nid] = AdmissionControl(
-            sim,
-            transport,
-            hosts[nid],
-            on_request_observed=observer,
-            accepting=(lambda nid=nid: faults.is_up(nid)),
-        )
 
     rng_streams = sim.streams
     policy = make_policy(

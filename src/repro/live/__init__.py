@@ -4,9 +4,10 @@ This package is the other half of the runtime seam
 (:mod:`repro.runtime.api`): a wall-clock scheduler
 (:class:`~repro.live.scheduler.LiveScheduler`), a real message transport
 (:class:`~repro.live.transport.LiveTransport`, in-process mailbox tasks
-or loopback UDP sockets) and a system assembly
-(:class:`~repro.live.runtime.LiveRuntime`) that runs the **unchanged**
-protocol, migration and workload modules against them.
+or loopback UDP sockets) and a runtime
+(:class:`~repro.live.runtime.LiveRuntime`) that has the simulator's own
+assembler build the **unchanged** protocol, migration and workload
+modules against them.
 
 Run it from the command line::
 

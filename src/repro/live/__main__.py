@@ -19,6 +19,7 @@ import json
 import math
 import sys
 
+from ..experiments.config import ExperimentConfig
 from .runtime import LiveConfig, run_live
 from .transport import BACKENDS
 
@@ -100,12 +101,18 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     cfg = LiveConfig(
-        nodes=args.nodes,
-        topology=args.topology,
-        protocol=args.protocol,
-        arrival_rate=args.rate,
-        horizon=args.duration,
-        seed=args.seed,
+        experiment=ExperimentConfig(
+            nodes=args.nodes,
+            topology=args.topology,
+            protocol=args.protocol,
+            arrival_rate=args.rate,
+            horizon=args.duration,
+            seed=args.seed,
+            # LAN accounting, as on the cluster testbed: a switched
+            # unicast and an IP-multicast flood each cost one message
+            fixed_unicast_cost=1.0,
+            flood_cost_override=1.0,
+        ),
         time_scale=args.time_scale,
         backend=args.backend,
         latency=args.latency,

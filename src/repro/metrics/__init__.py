@@ -3,7 +3,7 @@
 from .collector import MetricsCollector, RunResult
 from .counters import MessageCounters, TaskCounters
 from .report import describe_result, figure_table, format_series, format_table
-from .series import Sampler, TimeSeries
+from .series import TimeSeries
 from .stats import (
     StreamingMean,
     SummaryStats,
@@ -22,7 +22,6 @@ __all__ = [
     "figure_table",
     "format_series",
     "format_table",
-    "Sampler",
     "TimeSeries",
     "StreamingMean",
     "SummaryStats",

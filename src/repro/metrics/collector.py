@@ -91,7 +91,9 @@ class MetricsCollector:
 
     # Task lifecycle ------------------------------------------------------
 
-    def task_generated(self) -> None:
+    def task_generated(self, _task: Optional[Task] = None) -> None:
+        """A task arrived (the coordinator passes it, so a subclass can
+        stamp per-task arrival data such as the live runtime's wall clock)."""
         self.tasks.generated += 1
 
     def task_admitted(self, task: Task) -> None:

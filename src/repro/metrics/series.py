@@ -1,24 +1,20 @@
 """Time-series recording.
 
-Periodic samplers attach to the kernel and record (time, value) pairs —
-queue usage trajectories, community sizes, view staleness.  Values are
-held in grow-by-doubling NumPy buffers so long runs stay cheap, and the
-accessors return array views suitable for vectorised analysis (the
-hpc-parallel guideline: vectorise the analysis, keep the hot loop lean).
+A :class:`TimeSeries` holds (time, value) pairs — queue usage
+trajectories, community sizes, view staleness — in grow-by-doubling
+NumPy buffers so long runs stay cheap, and the accessors return array
+views suitable for vectorised analysis.  The run-wide
+:class:`~repro.obs.registry.MetricsRegistry` is what samples probes into
+them on a simulated-time cadence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..runtime.api import Priority
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.api import SchedulerAPI
-
-__all__ = ["TimeSeries", "Sampler"]
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -109,50 +105,3 @@ class TimeSeries:
         side = np.sign(self.values - level)
         side[side == 0] = 1
         return int(np.count_nonzero(np.diff(side)))
-
-
-class Sampler:
-    """Periodically samples callables into named :class:`TimeSeries`.
-
-    >>> sampler = Sampler(sim, interval=10.0)
-    >>> sampler.watch("usage0", host.usage)
-    """
-
-    def __init__(self, sim: "SchedulerAPI", interval: float) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.sim = sim
-        self.interval = float(interval)
-        self.series: Dict[str, TimeSeries] = {}
-        self._probes: Dict[str, Callable[[], float]] = {}
-        # SAMPLING priority: samples observe post-event state at their
-        # timestamp (completions, admissions and messages all fire first).
-        # Joining the shared round driver keeps every same-cadence sampler
-        # on ONE heap entry per tick instead of one per sampler, and
-        # stop() leaves through the tracked-cancellation path so the
-        # agenda can compact the dead entry.
-        self._timer = sim.shared_periodic(
-            interval, self._sample, priority=Priority.SAMPLING
-        )
-
-    def watch(self, name: str, probe: Callable[[], float]) -> TimeSeries:
-        """Register a probe; its registration-time value is sampled
-        immediately so every series starts at the watch instant."""
-        if name in self._probes:
-            raise ValueError(f"probe already registered: {name}")
-        ts = TimeSeries(name)
-        self.series[name] = ts
-        self._probes[name] = probe
-        ts.append(self.sim.now, float(probe()))
-        return ts
-
-    def _sample(self) -> None:
-        now = self.sim.now
-        for name, probe in self._probes.items():
-            self.series[name].append(now, float(probe()))
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    def get(self, name: str) -> Optional[TimeSeries]:
-        return self.series.get(name)

@@ -101,7 +101,7 @@ class MigrationCoordinator:
 
     def place_task(self, task: Task) -> None:
         """Run the full admission pipeline for a newly arrived task."""
-        self.metrics.task_generated()
+        self.metrics.task_generated(task)
         origin = task.origin
         if not self.is_up(origin):
             # Arrivals are only routed to live nodes by the workload layer;

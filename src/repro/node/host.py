@@ -137,10 +137,15 @@ class Host:
 
         A task already settled elsewhere (COMPLETED or REJECTED — e.g. a
         late admission request for a task its requester gave up on) is
-        refused before the pool or queue is touched.
+        refused before the pool or queue is touched, and so is a task
+        already resident in this queue (a duplicated admission request):
+        queued twice, its stale second entry would stay at the head after
+        it completes and block every later completion on this host.
         """
         status = task.status
         if status is TaskStatus.COMPLETED or status is TaskStatus.REJECTED:
+            return None
+        if status is TaskStatus.QUEUED and task in self.queue:
             return None
         if self.pool is not None and task.demand:
             if not self.pool.fits(task.demand):

@@ -80,12 +80,13 @@ class TestMessageBeforeArrival:
 
 class TestSamplingLast:
     def test_sampler_sees_post_event_state(self):
-        from repro.metrics.series import Sampler
+        from repro.obs.registry import MetricsRegistry
 
         sim = Simulator()
         host = Host(sim, 0, capacity=10.0)
-        sampler = Sampler(sim, interval=5.0)
-        series = sampler.watch("usage", host.usage)
+        registry = MetricsRegistry(sim, interval=5.0)
+        registry.gauge("usage", host.usage)
+        registry.start()
 
         def admit():
             host.accept(Task(size=5.0, arrival_time=sim.now, origin=0),
@@ -94,7 +95,7 @@ class TestSamplingLast:
         sim.at(5.0, admit, priority=Priority.ARRIVAL)
         sim.run(until=6.0)
         # the t=5 sample ran after the t=5 admission
-        assert series.values.tolist()[-1] == pytest.approx(0.5)
+        assert registry.series["usage"].values.tolist()[-1] == pytest.approx(0.5)
 
     def test_state_priority_fires_before_default(self):
         sim = Simulator()

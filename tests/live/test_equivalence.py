@@ -40,10 +40,13 @@ POINTS = [(4.0, 30.0), (100.0, 10.0)]
 
 def live_run(rate: float, horizon: float) -> dict:
     cfg = LiveConfig(
-        nodes=25,
-        arrival_rate=rate,
-        horizon=horizon,
-        seed=SEED,
+        experiment=ExperimentConfig(
+            protocol="realtor",
+            nodes=25,
+            arrival_rate=rate,
+            horizon=horizon,
+            seed=SEED,
+        ),
         time_scale=200.0,
         latency=0.0,
         drain_timeout=60.0,

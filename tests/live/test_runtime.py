@@ -5,16 +5,16 @@ import json
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.live import LiveConfig, run_live
 from repro.live.__main__ import main
 
 
 def small_report(**overrides) -> dict:
     base = dict(
-        nodes=9,
-        arrival_rate=40.0,
-        horizon=5.0,
-        seed=7,
+        experiment=ExperimentConfig(
+            nodes=9, arrival_rate=40.0, horizon=5.0, seed=7
+        ),
         time_scale=200.0,
         latency=0.0,
         drain_timeout=30.0,
@@ -63,9 +63,9 @@ class TestLiveRuntime:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            LiveConfig(nodes=0)
+            LiveConfig(experiment=ExperimentConfig(nodes=0))
         with pytest.raises(ValueError):
-            LiveConfig(arrival_rate=-1.0)
+            LiveConfig(experiment=ExperimentConfig(arrival_rate=-1.0))
         with pytest.raises(ValueError):
             LiveConfig(backend="smoke-signals")
 

@@ -131,6 +131,23 @@ class TestTryAccept:
         assert host.try_accept(t, TaskOutcome.MIGRATED) is None
         assert len(host.queue) == 0
 
+    def test_resident_task_refused_without_side_effects(self):
+        """A duplicated admission request for a task already queued here
+        is refused: queued twice, its stale second entry would block
+        every later completion on this host."""
+        done = []
+        sim, host = make(pool=ResourcePool.of(bandwidth=8.0), on_complete=done.append)
+        t = task(2.0, demand={"bandwidth": 4.0})
+        assert host.try_accept(t, TaskOutcome.MIGRATED) == 2.0
+        assert host.try_accept(t, TaskOutcome.MIGRATED) is None
+        assert len(host.queue) == 1
+        assert host.pool.availability_vector() == {"bandwidth": 4.0}
+        later = task(3.0)
+        host.try_accept(later, TaskOutcome.LOCAL)
+        sim.run()
+        assert done == [t, later]
+        assert len(host.queue) == 0
+
 
 class TestMultiResource:
     def test_demand_allocated_and_released(self):

@@ -151,6 +151,34 @@ class TestRegistry:
         # every tick is deep; finish must not append a duplicate point
         assert reg.series["deep"].times.tolist() == [0.0, 1.0, 2.0, 3.0]
 
+    def test_interval_validation(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry(Simulator(), interval=0.0)
+
+    def test_gauge_probe_sampled_each_tick(self):
+        sim = Simulator()
+        reg = MetricsRegistry(sim, interval=10.0)
+        counter = {"v": 0.0}
+        reg.gauge("v", lambda: counter["v"])
+        reg.start()
+        sim.at(15.0, lambda: counter.__setitem__("v", 7.0))
+        sim.run(until=35.0)
+        # t=0 baseline, then ticks at 10, 20, 30
+        assert reg.series["v"].times.tolist() == [0.0, 10.0, 20.0, 30.0]
+        assert reg.series["v"].values.tolist() == [0.0, 0.0, 7.0, 7.0]
+
+    def test_finish_uses_tracked_cancellation(self):
+        sim = Simulator()
+        reg = MetricsRegistry(sim, interval=1.0)
+        reg.gauge("x", lambda: 1.0)
+        reg.start()
+        sim.run(until=2.5)
+        reg.finish()
+        assert reg._membership.stopped
+        before = len(reg.series["x"])
+        sim.run(until=10.0)
+        assert len(reg.series["x"]) == before  # no further samples
+
     def test_start_twice_raises(self):
         reg = MetricsRegistry(Simulator(), interval=1.0)
         reg.start()

@@ -105,3 +105,23 @@ class TestChaosSweepEquivalence:
             assert _fields(serial[rate]) == _fields(parallel[rate]), (
                 f"loss={rate} differs serial vs parallel"
             )
+
+
+class TestDuplicatedAdmissionRequests:
+    def test_duplicates_never_strand_tasks(self):
+        # A duplicated ADMIT_REQ used to queue one task twice on the
+        # responder; its stale second entry then blocked every later
+        # completion on that host (230 tasks stranded in this run).
+        cfg = ExperimentConfig(
+            protocol="realtor",
+            arrival_rate=8.0,
+            horizon=600.0,
+            seed=5,
+            impairments=ImpairmentConfig(duplicate_rate=0.02),
+        )
+        system = build_system(cfg)
+        system.run(until=2000.0)  # drain well past the last arrival
+        assert system.transport.impairments.counters()["duplicated"] > 0
+        tasks = system.metrics.tasks
+        assert sum(len(h.queue) for h in system.hosts.values()) == 0
+        assert tasks.admitted_local + tasks.admitted_migrated == tasks.completed
