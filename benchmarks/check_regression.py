@@ -11,12 +11,12 @@ Seven gates, most against the committed ``BENCH_engine.json``:
 
 * **observability overhead gate** — re-measures ``event_throughput``
   (the kernel schedule+fire loop, the path that carries the
-  ``profile is None`` check and the ``trace.enabled`` guards) and fails
-  when it regresses more than ``--overhead-tolerance`` (default 5%)
-  beyond what the machine-speed difference explains.  Machine speed is
-  factored out by normalising with the queue benchmark's
-  measured/committed ratio from the same process, so the gate measures
-  *relative* overhead of the tracing-disabled paths, not CI hardware.
+  ``trace.enabled`` guards) and fails when it regresses more than
+  ``--overhead-tolerance`` (default 5%) beyond what the machine-speed
+  difference explains.  Machine speed is factored out by normalising
+  with the queue benchmark's measured/committed ratio from the same
+  process, so the gate measures *relative* overhead of the
+  tracing-disabled paths, not CI hardware.
 
 * **transport overhead gate** — re-measures ``flood_throughput`` (the
   flood fan-out with *no* impairments installed, the path that now
@@ -222,7 +222,7 @@ def check_overhead(
     ``speed_ratio`` is this machine's measured/committed throughput on
     the queue benchmark; the kernel-loop floor is scaled by it so a
     uniformly slower CI machine passes while a genuine per-event cost
-    added to the disabled paths (tracing guards, profiler hook) fails.
+    added to the disabled paths (the tracing guards) fails.
     """
     entry = committed.get("micro", {}).get(OVERHEAD_GATED)
     if not entry or entry.get("ops") != OVERHEAD_OPS:

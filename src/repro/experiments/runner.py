@@ -151,16 +151,9 @@ class System:
     churn_skipped: int = 0
     churn_scheduled: int = 0
 
-    def run(self, until: Optional[float] = None, *, profile=None) -> float:
-        """Drive the kernel to the horizon.
-
-        ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`
-        and switches the kernel to its instrumented loop — wall time and
-        event counts land in the profiler, per callback and subsystem.
-        """
-        return self.sim.run(
-            until=until if until is not None else self.cfg.horizon, profile=profile
-        )
+    def run(self, until: Optional[float] = None) -> float:
+        """Drive the kernel to the horizon."""
+        return self.sim.run(until=until if until is not None else self.cfg.horizon)
 
     # Churn (nodes joining/leaving the live system) ---------------------
 
@@ -287,9 +280,7 @@ class System:
         if self.transport.impairments is not None:
             for key, value in self.transport.impairments.counters().items():
                 self.metrics.extra[f"impairment_{key}"] = float(value)
-        # Fast-path visibility: the profiled loop is always scalar, so
-        # these kernel counters are the only record of what the cohort
-        # batcher actually dispatched in this run.
+        # What the kernel's cohort batcher dispatched in this run.
         cohort_stats = self.sim.cohort_stats()
         self.metrics.extra["cohorts"] = float(cohort_stats["cohorts"])
         self.metrics.extra["cohort_batched_events"] = float(
@@ -642,19 +633,17 @@ def _install_churn(system: System) -> None:
 def run_experiment(
     cfg: ExperimentConfig,
     attack: Optional[AttackPlan] = None,
-    *,
-    profile=None,
 ) -> RunResult:
     """Build, optionally arm an attack plan, run to the horizon, summarise.
 
-    Pass ``profile=KernelProfiler()`` to attribute the run's wall time
-    per subsystem; inspect ``profile.report()`` afterwards.
+    Wrap the call in ``with KernelProfiler() as prof:`` to attribute its
+    wall time per subsystem; inspect ``prof.report()`` afterwards.
     """
     system = build_system(cfg)
     if attack is not None:
         attack.install(system.faults)
     try:
-        system.run(profile=profile)
+        system.run()
     except Exception as exc:
         _attach_flight_dump(system, exc)
         raise

@@ -9,8 +9,8 @@ inspectable after the fact and while they happen:
 * :mod:`repro.obs.sinks` — streaming sinks for ``Tracer.add_sink``:
   JSONL files (buffered, rotating, summary footer), NDJSON callbacks,
   and a counting null sink;
-* :mod:`repro.obs.profiler` — wall-time/event-count attribution per
-  callback and per subsystem, driven by ``Simulator.run(profile=...)``;
+* :mod:`repro.obs.profiler` — cProfile self time of any run, sim or
+  live, per function and per subsystem (``with KernelProfiler():``);
 * :mod:`repro.obs.spans` — HELP→PLEDGE and placement/evacuation
   negotiation chains correlated into span records with latencies and
   hop counts;

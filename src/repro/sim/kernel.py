@@ -26,9 +26,12 @@ time, and events a batch member schedules at the same instant carry
 later seqs (they run after the cohort, exactly as in the scalar path) —
 so the executed sequence, the trace, and ``events_executed`` are
 bit-identical to scalar execution.  That equivalence is pinned by
-``tests/sim/test_cohort_batching.py``; the profiled loop always runs
-scalar (exact per-event attribution), which doubles as the lockstep
-reference.
+``tests/sim/test_cohort_batching.py`` against the scalar reference,
+:meth:`Simulator.set_cohort_batching` ``(False)``.
+
+:meth:`Simulator.run` is the kernel's only run loop and knows nothing
+about profiling: :class:`repro.obs.profiler.KernelProfiler` profiles it
+from outside, batching included.
 """
 
 from __future__ import annotations
@@ -420,9 +423,9 @@ class Simulator:
         earlier items may mutate state later items depend on.
 
         ``fn`` is matched by equality, so a bound method registers all
-        schedules of that method on that instance.  Batching applies to
-        the unprofiled loop only; profiled runs stay scalar for exact
-        per-event attribution (and serve as the lockstep reference).
+        schedules of that method on that instance.  Batching is on
+        unless :meth:`set_cohort_batching` turned it off, which gives
+        the scalar reference the equivalence tests compare against.
 
         One structural requirement: events of ``fn`` must never be
         *cancelled by a same-cohort member* — the cohort's arguments are
@@ -443,14 +446,12 @@ class Simulator:
         return self._batching
 
     def cohort_stats(self) -> Dict[str, Any]:
-        """Batched-dispatch accounting for the unprofiled fast path.
+        """Batched-dispatch accounting for the run loop.
 
         Returns cumulative counts since construction: how many cohorts
         were drained, how many events they covered, that count as a
         share of all executed events (0.0 before anything runs), and a
-        ``{cohort size -> occurrences}`` histogram.  The profiled loop
-        is always scalar, so this is the only visibility into what the
-        fast path actually batched.
+        ``{cohort size -> occurrences}`` histogram.
         """
         executed = self._events_executed
         return {
@@ -469,8 +470,7 @@ class Simulator:
         agenda entry with the identical key and an equal callback is
         popped in seq order, up to ``budget`` items total.  Cancelled
         records inside the run are discarded exactly as the scalar pop
-        loop would.  Shared by the plain and (potential future)
-        instrumented loops so the two can never drift.
+        loop would.
         """
         queue = self.queue
         heap = queue._heap
@@ -501,26 +501,17 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        profile: Optional[Any] = None,
     ) -> float:
         """Execute events until the agenda is empty or ``until`` is reached.
 
         The clock is left at ``until`` (if given) even when the agenda
         drains early, so post-run metric normalisation by horizon is exact.
         Returns the final clock value.
-
-        ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`
-        (duck-typed: ``record(fn, seconds)`` + ``finish_run(wall)``);
-        when given, execution switches to an instrumented loop that times
-        every callback.  When omitted the fast loop below runs untouched —
-        the disabled-path cost is this one ``is None`` check per run call.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         if until is not None and until < self._now:
             raise SimulationError("until lies in the past")
-        if profile is not None:
-            return self._run_profiled(until, max_events, profile)
         self._running = True
         self._stop_requested = False
         budget = max_events if max_events is not None else float("inf")
@@ -578,59 +569,6 @@ class Simulator:
             self._running = False
             # Run-or-clear: finalizers fire exactly once per run() call,
             # raising callback or not, and never leak into a later run.
-            finalizers = self._finalizers[:]
-            self._finalizers.clear()
-            for fn in finalizers:
-                fn()
-        return self._now
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int], profile: Any
-    ) -> float:
-        """Instrumented twin of the :meth:`run` hot loop.
-
-        Same pop order, same clock/finalizer semantics — the only
-        difference is a ``perf_counter`` bracket around each callback fed
-        to ``profile.record`` and a wall-time total to
-        ``profile.finish_run``.  Kept as a separate loop so the
-        unprofiled path pays nothing per event.
-        """
-        from time import perf_counter
-
-        self._running = True
-        self._stop_requested = False
-        budget = max_events if max_events is not None else float("inf")
-        queue = self.queue
-        heap = queue._heap
-        executed = 0
-        record = profile.record
-        wall_start = perf_counter()
-        try:
-            while budget > 0 and not self._stop_requested:
-                while heap and heap[0][3]._cancelled:
-                    heappop(heap)
-                    if queue._cancelled_pending > 0:
-                        queue._cancelled_pending -= 1
-                if not heap:
-                    break
-                entry = heap[0]
-                if until is not None and entry[0] > until:
-                    break
-                heappop(heap)
-                queue._live -= 1
-                ev = entry[3]
-                self._now = entry[0]
-                t0 = perf_counter()
-                ev.fn(*ev.args)
-                record(ev.fn, perf_counter() - t0)
-                executed += 1
-                budget -= 1
-            if until is not None and self._now < until and not self._stop_requested:
-                self._now = until
-        finally:
-            profile.finish_run(perf_counter() - wall_start)
-            self._events_executed += executed
-            self._running = False
             finalizers = self._finalizers[:]
             self._finalizers.clear()
             for fn in finalizers:

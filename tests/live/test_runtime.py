@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.live import LiveConfig, run_live
 from repro.live.__main__ import main
+from repro.obs.profiler import KernelProfiler
 
 
 def small_report(**overrides) -> dict:
@@ -60,6 +61,16 @@ class TestLiveRuntime:
 
     def test_report_is_json_serialisable(self, report):
         json.dumps(report, default=str)
+
+    def test_kernel_profiler_profiles_a_live_run(self):
+        # the sim profiler, unchanged, sees the same layers on asyncio
+        prof = KernelProfiler()
+        with prof:
+            report = small_report()
+        assert report["tasks"]["generated"] > 0
+        layers = prof.report().by_subsystem
+        assert layers.get("protocol", 0.0) > 0.0
+        assert layers.get("migration", 0.0) > 0.0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

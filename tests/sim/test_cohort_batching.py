@@ -5,14 +5,16 @@ callback's events to a registered batch hook (one Python call instead of
 N) — these tests pin that the batched execution is *observationally
 identical* to the scalar pop loop: same trace, same result fields, same
 ``events_executed``, at the 2500-node scaling tier, with impairments on
-and off, and across serial/parallel sweep execution.  The profiled loop
-always runs scalar, which doubles as a lockstep reference for the
-``run``/``_run_profiled`` twin-loop pair.
+and off, and across serial/parallel sweep execution.  The scalar
+reference is ``set_cohort_batching(False)``; the kernel has one run loop,
+which a profiler observes from outside without changing what it batches.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+from contextlib import nullcontext
 
 import pytest
 
@@ -49,11 +51,14 @@ def _tier_config(
     )
 
 
-def _traced_run(cfg: ExperimentConfig, *, batching: bool, profile=None):
+def _traced_run(
+    cfg: ExperimentConfig, *, batching: bool, profiler=nullcontext()
+):
     system = build_system(cfg)
     assert system.sim.cohort_batching  # default on
     system.sim.set_cohort_batching(batching)
-    system.run(profile=profile)
+    with profiler:
+        system.run()
     trace = [
         (rec.time, rec.category, tuple(sorted(rec.payload.items())))
         for rec in system.sim.trace.records
@@ -64,12 +69,12 @@ def _traced_run(cfg: ExperimentConfig, *, batching: bool, profile=None):
     for key in list(result["extra"]):
         if key.startswith("cohort"):
             del result["extra"][key]
-    return trace, result, system.sim.events_executed
+    return trace, result, system.sim.events_executed, system.sim.cohort_stats()
 
 
 def _assert_identical(run_a, run_b, label: str) -> None:
-    trace_a, result_a, executed_a = run_a
-    trace_b, result_b, executed_b = run_b
+    trace_a, result_a, executed_a, _ = run_a
+    trace_b, result_b, executed_b, _ = run_b
     assert executed_a == executed_b, f"{label}: events_executed differ"
     assert len(trace_a) == len(trace_b), f"{label}: trace length differs"
     for i, (rec_a, rec_b) in enumerate(zip(trace_a, trace_b)):
@@ -94,22 +99,23 @@ class TestBatchedEqualsScalar:
         _assert_identical(batched, scalar, "impaired 2500-node tier")
 
     def test_impairments_actually_change_the_run(self):
-        _, clean, _ = _traced_run(_tier_config(), batching=True)
-        _, lossy, _ = _traced_run(_tier_config(impaired=True), batching=True)
+        _, clean, _, _ = _traced_run(_tier_config(), batching=True)
+        _, lossy, _, _ = _traced_run(_tier_config(impaired=True), batching=True)
         assert clean != lossy
 
 
 class TestProfiledLockstep:
     def test_profiled_run_bit_identical_to_plain(self):
-        """The instrumented twin loop is scalar; its trace must match the
-        batched fast loop exactly — the lockstep guard that keeps the
-        ``run``/``_run_profiled`` pair from drifting."""
+        """A profiled run executes the same batched loop as a plain one:
+        same trace, same result, and the same cohorts dispatched."""
         cfg = _tier_config(nodes=250, horizon=10.0)
         plain = _traced_run(cfg, batching=True)
-        profile = KernelProfiler()
-        profiled = _traced_run(cfg, batching=True, profile=profile)
+        profiler = KernelProfiler()
+        profiled = _traced_run(cfg, batching=True, profiler=profiler)
         _assert_identical(plain, profiled, "profiled vs plain")
-        assert profile.report().events_executed == profiled[2]
+        assert profiled[3] == plain[3]
+        assert profiled[3]["cohorts"] > 0
+        assert profiler.report().by_subsystem["transport"] > 0.0
 
 
 class TestSweepEquivalence:
@@ -301,9 +307,11 @@ class TestFinalizerSemantics:
         sim.add_finalizer(lambda: ran.append("f"))
         sim.at(1.0, lambda: (_ for _ in ()).throw(ValueError("x")))
         with pytest.raises(ValueError):
-            sim.run(profile=KernelProfiler())
+            with KernelProfiler():
+                sim.run()
         assert ran == ["f"]
         assert not sim._finalizers
+        assert sys.getprofile() is None  # the profiler let go on the way out
 
 
 class TestRoundDriver:
@@ -462,10 +470,12 @@ class TestCohortStats:
         assert sim.events_executed == 5
 
     def test_stats_zero_under_profiled_loop(self):
-        # the instrumented twin loop always runs scalar
+        # profiling the scalar reference leaves it scalar
         cfg = _tier_config(nodes=250, horizon=2.0)
         system = build_system(cfg)
-        system.run(profile=KernelProfiler())
+        system.sim.set_cohort_batching(False)
+        with KernelProfiler():
+            system.run()
         stats = system.sim.cohort_stats()
         assert stats["cohorts"] == 0
         assert stats["batched_events"] == 0
