@@ -52,8 +52,9 @@ Seven gates, most against the committed ``BENCH_engine.json``:
   single-run cell and fails when run-phase kernel throughput
   (events/sec, setup excluded) drops more than ``--tolerance`` below
   the committed ``single_run_events_per_second`` after machine-speed
-  normalisation.  This is the direct gate on the cohort-batching /
-  vectorized-state fast path.
+  normalisation.  At load 0.5 and horizon 4 that cell runs 1217 events
+  and sends no message, so it gates the kernel loop, arrivals and local
+  queue admission/completion — not message delivery or discovery.
 
 Usage::
 
@@ -394,9 +395,12 @@ def check_events_throughput(
     harness's ``single_run_events_per_second`` column measures: run-phase
     only, setup excluded) and fails when events/sec drops more than
     ``tolerance`` below the committed value after machine-speed
-    normalisation.  This is the gate on the cohort-batching fast path
-    itself — routing and flood gates would stay green if the event loop
-    regressed, because they bypass most of it.
+    normalisation.  The cell (load 0.5, horizon 4) runs 1217 events and
+    sends no message, so what it gates is the kernel's pop-and-call loop
+    plus arrival generation and local queue admission/completion;
+    message delivery and discovery never run in it.  Routing and flood
+    gates would stay green if that loop regressed, because they bypass
+    it.
     """
     entry = (
         committed.get("scaling", {}).get("tiers", {}).get(str(SCALING_GATE_NODES))

@@ -67,10 +67,12 @@ def main(trace_path: str = "observe_trace.jsonl") -> None:
     report = profiler.report()
     assert report.accounted_fraction >= 0.95  # the profiler's contract
     # the profile sees the discovery and migration layers' own time, and
-    # the profiled run took the batched production path
+    # grouped delivery ran: one _deliver call per arrival instant of a
+    # send, so fewer calls than messages delivered
     assert report.by_subsystem.get("protocol", 0.0) > 0.0
     assert report.by_subsystem.get("migration", 0.0) > 0.0
-    assert system.sim.cohort_stats()["cohorts"] > 0
+    deliver_calls = report.by_callback["Transport._deliver"].calls
+    assert 0 < deliver_calls < system.transport.delivered_messages
     print(report.format(top=8))
     print()
 

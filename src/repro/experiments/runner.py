@@ -280,29 +280,11 @@ class System:
         if self.transport.impairments is not None:
             for key, value in self.transport.impairments.counters().items():
                 self.metrics.extra[f"impairment_{key}"] = float(value)
-        # What the kernel's cohort batcher dispatched in this run.
-        cohort_stats = self.sim.cohort_stats()
-        self.metrics.extra["cohorts"] = float(cohort_stats["cohorts"])
-        self.metrics.extra["cohort_batched_events"] = float(
-            cohort_stats["batched_events"]
-        )
-        self.metrics.extra["cohort_batched_share"] = float(
-            cohort_stats["batched_share"]
-        )
         series_payload = None
         if self.registry is not None:
             self.registry.finish()
             if self.cfg.obs is None or self.cfg.obs.record_series:
                 series_payload = self.registry.to_payload()
-                series_payload["cohorts"] = {
-                    "cohorts": cohort_stats["cohorts"],
-                    "batched_events": cohort_stats["batched_events"],
-                    "batched_share": cohort_stats["batched_share"],
-                    "size_histogram": {
-                        str(size): count
-                        for size, count in cohort_stats["size_histogram"].items()
-                    },
-                }
         return self.metrics.result(
             self.cfg.params(),
             self.sim.now,

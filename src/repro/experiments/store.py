@@ -57,7 +57,9 @@ STORE_FORMAT = "repro-runstore/1"
 #: 3: ExperimentConfig gained obs; RunResult gained series + cohort extras
 #: 4: ranking seam (ProtocolConfig.ranking_policy), fleet/churn axes on
 #:    ExperimentConfig, ranking/churn/fleet extras on RunResult
-CODE_VERSION = "4"
+#: 5: cohort batching deleted; RunResult lost the cohort* extras and
+#:    series["cohorts"]
+CODE_VERSION = "5"
 
 
 def default_salt() -> str:

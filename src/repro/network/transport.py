@@ -17,6 +17,14 @@ Latency is configurable (per-hop seconds).  The paper's simulation treats
 dissemination as instantaneous relative to task times, so the default is
 zero latency — messages are still delivered via the event queue (never by
 synchronous call) so handler re-entrancy cannot occur.
+
+Every send is one kernel event per *arrival instant*: the receivers a
+send reaches at the same absolute time are delivered in one callback,
+in receiver order.  A zero-latency flood is therefore one event however
+many nodes it reaches.  Per-receiver events would take consecutive seqs
+at one ``(time, priority)``, so nothing could run between them; grouped,
+the order is the same, and events a handler schedules at that instant
+still run after the whole group.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING,
+)
 
 # Delivery and Priority live on the runtime seam (shared with the live
 # transport); re-exported here for every existing import site.
@@ -40,6 +50,8 @@ __all__ = ["Transport", "Delivery", "CostModel", "UnicastCostMode"]
 
 
 Handler = Callable[["Delivery"], None]
+#: ``(receiver, delay)`` pairs of one send, in receiver order
+Arrivals = List[Tuple[NodeId, float]]
 CostSink = Callable[[str, float], None]
 LinkPredicate = Callable[[NodeId, NodeId], bool]
 
@@ -175,14 +187,6 @@ class Transport:
         self.sent_messages = 0
         self.delivered_messages = 0
         self.dropped_messages = 0
-        # Cohort fast path: a flood fan-out schedules one _deliver event
-        # per receiver at the same (time, priority); registering the batch
-        # hook lets the kernel hand the whole same-instant run to
-        # _deliver_batch in one call.  Guarded so a bare kernel without
-        # cohort support still works scalar-per-event.
-        register = getattr(sim, "register_batch", None)
-        if register is not None:
-            register(self._deliver, self._deliver_batch)
 
     # Registration --------------------------------------------------------
 
@@ -227,7 +231,7 @@ class Transport:
             self.dropped_messages += 1
             return False
         self._charge(kind, self.cost_model.unicast_cost(router, hops))
-        self._deliver_later(src, dst, kind, payload, hops)
+        self._send(src, self._plan(src, dst, hops, []), kind, payload)
         return True
 
     def flood(
@@ -262,42 +266,15 @@ class Transport:
         # query usually computed and which is otherwise computed once.
         depth = None if neighbors_only else self._live.distance
         cost = self.cost_model.flood_cost_override
-        if cost is None:
-            cost = float(links)
-        if self.on_cost is not None:
-            self.on_cost(kind, cost)
-        # Fan-out fast path: one bound-method event per receiver (no
-        # per-message closure), with the zero-latency case skipping the
-        # depth lookups entirely.  Scheduling order — and therefore the
-        # event sequence — matches the generic path exactly.
-        now = self.sim.now
-        after = self.sim.after
-        deliver = self._deliver
-        latency = self.per_hop_latency
-        impair = self._impair
-        if impair is not None:
-            # Impaired fan-out: per-receiver loss/jitter/dup/reorder
-            # verdicts, drawn in deterministic (sorted-receiver) order.
-            plan = impair.plan
-            for dst in receivers:
-                hops = 1 if depth is None else depth(src, dst)
-                delays = plan(src, dst, hops)
-                if delays is None:
-                    self.dropped_messages += 1
-                    continue
-                base = latency * hops
-                for extra in delays:
-                    after(base + extra, deliver, src, dst, kind, payload, now,
-                          priority=Priority.MESSAGE)
-        elif latency == 0.0:
-            for dst in receivers:
-                after(0.0, deliver, src, dst, kind, payload, now,
-                      priority=Priority.MESSAGE)
+        self._charge(kind, float(links) if cost is None else cost)
+        if self._impair is None and self.per_hop_latency == 0.0:
+            # every receiver arrives now: skip the depth lookups
+            arrivals = [(dst, 0.0) for dst in receivers]
         else:
+            arrivals = []
             for dst in receivers:
-                hops = 1 if depth is None else depth(src, dst)
-                after(latency * hops, deliver, src, dst, kind, payload, now,
-                      priority=Priority.MESSAGE)
+                self._plan(src, dst, 1 if depth is None else depth(src, dst), arrivals)
+        self._send(src, arrivals, kind, payload)
         return list(receivers)
 
     def _flood_structure(self, src: NodeId) -> tuple:
@@ -325,6 +302,7 @@ class Transport:
         self.sent_messages += 1
         router = self._live
         receivers: List[NodeId] = []
+        arrivals: Arrivals = []
         total = 0.0
         for dst in sorted(set(dests)):
             if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
@@ -334,8 +312,9 @@ class Transport:
                 continue
             total += self.cost_model.unicast_cost(router, hops)
             receivers.append(dst)
-            self._deliver_later(src, dst, kind, payload, hops)
+            self._plan(src, dst, hops, arrivals)
         self._charge(kind, cost if cost is not None else total)
+        self._send(src, arrivals, kind, payload)
         return receivers
 
     # Internals ------------------------------------------------------------
@@ -353,56 +332,54 @@ class Transport:
         if self.on_cost is not None:
             self.on_cost(kind, cost)
 
-    def _deliver_later(
-        self, src: NodeId, dst: NodeId, kind: str, payload: Any, hops: int
-    ) -> None:
+    def _plan(self, src: NodeId, dst: NodeId, hops: int, arrivals: Arrivals) -> Arrivals:
+        """Append ``dst``'s arrivals over a ``hops``-long route; return the list.
+
+        One arrival after the per-hop latency, unless the impairment
+        engine drops the message (counted; the cost was charged at
+        send), delays it, or duplicates it.
+        """
         delay = self.per_hop_latency * max(hops, 0)
-        if self._impair is not None:
-            delays = self._impair.plan(src, dst, hops)
-            if delays is None:
-                self.dropped_messages += 1
-                return  # lost in transit (cost already charged at send)
-            for extra in delays:
-                self.sim.after(
-                    delay + extra, self._deliver, src, dst, kind, payload,
-                    self.sim.now, priority=Priority.MESSAGE,
-                )
-            return
-        self.sim.after(
-            delay, self._deliver, src, dst, kind, payload, self.sim.now,
-            priority=Priority.MESSAGE,
-        )
+        if self._impair is None:
+            arrivals.append((dst, delay))
+            return arrivals
+        extras = self._impair.plan(src, dst, hops)
+        if extras is None:
+            self.dropped_messages += 1
+            return arrivals
+        arrivals.extend((dst, delay + extra) for extra in extras)
+        return arrivals
+
+    def _send(self, src: NodeId, arrivals: Arrivals, kind: str, payload: Any) -> None:
+        """Schedule one :meth:`_deliver` event per arrival instant.
+
+        Arrivals are grouped by absolute time ``now + delay``, not by
+        delay (two delays can round to the same instant); each group
+        keeps receiver order.
+        """
+        now = self.sim.now
+        groups: Dict[float, List[NodeId]] = {}
+        for dst, delay in arrivals:
+            groups.setdefault(now + delay, []).append(dst)
+        for time, receivers in groups.items():
+            self.sim.at(time, self._deliver, src, receivers, kind, payload, now,
+                        priority=Priority.MESSAGE)
 
     def _deliver(
-        self, src: NodeId, dst: NodeId, kind: str, payload: Any, sent_at: float
+        self, src: NodeId, receivers: List[NodeId], kind: str, payload: Any,
+        sent_at: float,
     ) -> None:
-        """Event callback for one message arrival (liveness re-checked)."""
-        if not self.is_up(dst):
-            self.dropped_messages += 1
-            return
-        handlers = self._handlers.get(dst)
-        handler = handlers.get(kind) if handlers is not None else None
-        if handler is None:
-            self.dropped_messages += 1
-            return
-        self.delivered_messages += 1
-        handler(Delivery(src, dst, kind, payload, sent_at, self.sim.now))
+        """Event callback for one arrival instant of a send.
 
-    def _deliver_batch(self, cohort: List[tuple]) -> None:
-        """Cohort hook: a same-instant run of :meth:`_deliver` arguments.
-
-        Must be observationally identical to
-        ``for args in cohort: self._deliver(*args)``: liveness and the
-        handler table are re-consulted *per item* — a handler early in
-        the cohort may crash a later receiver or unregister its handlers
-        — and counters bump item by item.  Only the attribute loads
-        (predicate, handler table, clock) are hoisted; the clock cannot
-        move inside a cohort because ``run`` is not reentrant.
+        Liveness and the handler table are re-checked per receiver: a
+        handler earlier in the group may crash a later receiver or
+        unregister its handlers.  The clock cannot move inside a group
+        (``run`` is not reentrant), so it is read once.
         """
         is_up = self.is_up
         by_node = self._handlers
         now = self.sim.now
-        for src, dst, kind, payload, sent_at in cohort:
+        for dst in receivers:
             if not is_up(dst):
                 self.dropped_messages += 1
                 continue

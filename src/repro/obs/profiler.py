@@ -1,12 +1,12 @@
 """Layer profiler — per-subsystem self time of any run, sim or live.
 
 ``with KernelProfiler() as prof: system.run()`` runs the production
-code path (the kernel's one run loop, cohort batching included) under
-a stdlib :class:`cProfile.Profile`, then attributes every function's
-*self* time (``tottime``) two ways:
+code path (the kernel's one run loop) under a stdlib
+:class:`cProfile.Profile`, then attributes every function's *self*
+time (``tottime``) two ways:
 
 * **per function** — the code object's qualified name
-  (``Transport._deliver_batch``, ``WorkQueue._complete_head``, …), or
+  (``Transport._deliver``, ``WorkQueue._complete_head``, …), or
   cProfile's label for a builtin;
 * **per subsystem** — the function's module, read from its code file,
   mapped onto the architectural layers (``kernel``, ``transport``,

@@ -15,23 +15,16 @@ sequences.  That property underpins the common-random-numbers comparison
 methodology used by the figure experiments and is asserted by property
 tests.
 
-Cohort batching (the single-run fast path): events sharing the full
-``(time, priority)`` key form a *cohort* and execute in seq order either
-way, so a component may register a batch hook for one of its callbacks
-(:meth:`Simulator.register_batch`) and receive a whole same-instant run
-of that callback's argument tuples in one call — one Python call for a
-10k-receiver flood instead of 10k loop iterations.  Only *consecutive*
-same-callback events are grouped, cancellations are honoured at drain
-time, and events a batch member schedules at the same instant carry
-later seqs (they run after the cohort, exactly as in the scalar path) —
-so the executed sequence, the trace, and ``events_executed`` are
-bit-identical to scalar execution.  That equivalence is pinned by
-``tests/sim/test_cohort_batching.py`` against the scalar reference,
-:meth:`Simulator.set_cohort_batching` ``(False)``.
+Every event is one callback call: :meth:`Simulator.run` pops the agenda in
+``(time, priority, seq)`` order and calls each event's function, with no
+second dispatch path.  A message send is one event per arrival instant
+(the transport delivers a flood's whole same-instant receiver group in
+one callback), so ``events_executed`` and the ``max_events`` budget
+count arrival groups, not receivers, and a :meth:`Simulator.stop` called
+from a message handler takes effect after that handler's group.
 
-:meth:`Simulator.run` is the kernel's only run loop and knows nothing
-about profiling: :class:`repro.obs.profiler.KernelProfiler` profiles it
-from outside, batching included.
+:meth:`Simulator.run` knows nothing about profiling:
+:class:`repro.obs.profiler.KernelProfiler` profiles it from outside.
 """
 
 from __future__ import annotations
@@ -262,16 +255,6 @@ class Simulator:
         self._stop_requested = False
         self._events_executed = 0
         self._finalizers: List[Callable[[], None]] = []
-        #: scalar callback -> cohort hook (see :meth:`register_batch`);
-        #: an empty dict keeps the hot loop's batching probe one falsy test
-        self._batch_hooks: Dict[Callable[..., Any], Callable[[List[tuple]], Any]] = {}
-        self._batching = True
-        # Cohort-batching accounting (see :meth:`cohort_stats`): updated
-        # once per *cohort* in the batched dispatch branch only, so the
-        # scalar path — and any run without batch hooks — pays nothing.
-        self._cohorts = 0
-        self._batched_events = 0
-        self._cohort_sizes: Dict[int, int] = {}
         #: (interval, phase, priority) -> shared round driver
         self._round_drivers: Dict[Tuple[float, float, int], RoundDriver] = {}
 
@@ -284,7 +267,11 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Number of events fired so far (diagnostic)."""
+        """Number of events fired so far (diagnostic).
+
+        A message send counts once per arrival instant, however many
+        receivers that instant's event delivers to.
+        """
         return self._events_executed
 
     # Scheduling --------------------------------------------------------
@@ -403,97 +390,23 @@ class Simulator:
         """
         self._finalizers.append(fn)
 
-    # Cohort batching ----------------------------------------------------
-
-    def register_batch(
-        self,
-        fn: Callable[..., Any],
-        batch_fn: Callable[[List[tuple]], Any],
-    ) -> None:
-        """Install ``batch_fn`` as the cohort handler for callback ``fn``.
-
-        When the run loop pops an event whose callback equals ``fn`` and
-        the next agenda entries share its exact ``(time, priority)`` key
-        *and* callback, the whole consecutive run is drained in seq
-        order and handed to ``batch_fn`` as a list of argument tuples —
-        one call instead of N.  The contract on ``batch_fn``: it must be
-        observationally identical to ``for args in cohort: fn(*args)``,
-        re-checking any per-item guards (liveness, cancellation flags in
-        component state) exactly as the scalar body does, because
-        earlier items may mutate state later items depend on.
-
-        ``fn`` is matched by equality, so a bound method registers all
-        schedules of that method on that instance.  Batching is on
-        unless :meth:`set_cohort_batching` turned it off, which gives
-        the scalar reference the equivalence tests compare against.
-
-        One structural requirement: events of ``fn`` must never be
-        *cancelled by a same-cohort member* — the cohort's arguments are
-        captured when the cohort is drained, so a cancellation landing
-        mid-batch (which the scalar pop loop would honour) cannot be
-        seen.  Cancellations from anywhere else are honoured exactly.
-        Message deliveries satisfy this trivially: nothing holds their
-        event handles.
-        """
-        self._batch_hooks[fn] = batch_fn
-
-    def set_cohort_batching(self, enabled: bool) -> None:
-        """Force the scalar path (``False``) — for equivalence tests."""
-        self._batching = bool(enabled)
-
-    @property
-    def cohort_batching(self) -> bool:
-        return self._batching
-
     def cohort_stats(self) -> Dict[str, Any]:
-        """Batched-dispatch accounting for the run loop.
+        """Zero counts in the shape of the deleted cohort-batching report.
 
-        Returns cumulative counts since construction: how many cohorts
-        were drained, how many events they covered, that count as a
-        share of all executed events (0.0 before anything runs), and a
-        ``{cohort size -> occurrences}`` histogram.
+        The kernel no longer regroups events (a send is one event per
+        arrival instant), so every count is zero.  This stub exists only
+        because ``perfbench/layers.py::install_timers`` calls it after
+        every kernel run of a benchmark pass (without it every pass
+        raises), and ``perfbench/`` stays unchanged so the benchmark
+        compares like with like against the previous commit.  The next
+        change to the benchmark deletes this stub (ROADMAP item 3).
         """
-        executed = self._events_executed
         return {
-            "cohorts": self._cohorts,
-            "batched_events": self._batched_events,
-            "batched_share": (
-                self._batched_events / executed if executed else 0.0
-            ),
-            "size_histogram": dict(sorted(self._cohort_sizes.items())),
+            "cohorts": 0,
+            "batched_events": 0,
+            "batched_share": 0.0,
+            "size_histogram": {},
         }
-
-    def _drain_cohort(self, time: float, priority: int, ev: Event, budget) -> List[tuple]:
-        """Collect the consecutive same-``(time, priority, fn)`` cohort.
-
-        ``ev`` (already popped) leads the cohort; every following live
-        agenda entry with the identical key and an equal callback is
-        popped in seq order, up to ``budget`` items total.  Cancelled
-        records inside the run are discarded exactly as the scalar pop
-        loop would.
-        """
-        queue = self.queue
-        heap = queue._heap
-        fn = ev.fn
-        cohort = [ev.args]
-        n = 1
-        while heap and n < budget:
-            top = heap[0]
-            if top[0] != time or top[1] != priority:
-                break
-            nxt = top[3]
-            if nxt._cancelled:
-                heappop(heap)
-                if queue._cancelled_pending > 0:
-                    queue._cancelled_pending -= 1
-                continue
-            if nxt.fn != fn:
-                break
-            heappop(heap)
-            queue._live -= 1
-            cohort.append(nxt.args)
-            n += 1
-        return cohort
 
     # Execution ----------------------------------------------------------
 
@@ -506,7 +419,9 @@ class Simulator:
 
         The clock is left at ``until`` (if given) even when the agenda
         drains early, so post-run metric normalisation by horizon is exact.
-        Returns the final clock value.
+        ``max_events`` budgets events, and one message event delivers a
+        send's whole same-instant receiver group.  Returns the final
+        clock value.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -522,10 +437,9 @@ class Simulator:
         # method-call path, pinned by the golden-trace tests.
         queue = self.queue
         heap = queue._heap
-        hooks = self._batch_hooks if self._batching else None
         executed = 0
         try:
-            while budget > 0 and not self._stop_requested:
+            while executed < budget and not self._stop_requested:
                 while heap and heap[0][3]._cancelled:
                     heappop(heap)
                     if queue._cancelled_pending > 0:
@@ -539,29 +453,8 @@ class Simulator:
                 queue._live -= 1
                 ev = entry[3]
                 self._now = entry[0]
-                if hooks:
-                    batch_fn = hooks.get(ev.fn)
-                    if (
-                        batch_fn is not None
-                        and heap
-                        and heap[0][0] == entry[0]
-                        and heap[0][1] == entry[1]
-                    ):
-                        cohort = self._drain_cohort(
-                            entry[0], entry[1], ev, budget
-                        )
-                        batch_fn(cohort)
-                        n = len(cohort)
-                        executed += n
-                        budget -= n
-                        self._cohorts += 1
-                        self._batched_events += n
-                        sizes = self._cohort_sizes
-                        sizes[n] = sizes.get(n, 0) + 1
-                        continue
                 ev.fn(*ev.args)
                 executed += 1
-                budget -= 1
             if until is not None and self._now < until and not self._stop_requested:
                 self._now = until
         finally:
@@ -576,7 +469,12 @@ class Simulator:
         return self._now
 
     def stop(self) -> None:
-        """Request :meth:`run` to return after the current event."""
+        """Request :meth:`run` to return after the current event.
+
+        Called from a message handler, that event is the handler's whole
+        arrival group: the receivers after it in the group still get the
+        message before :meth:`run` returns.
+        """
         self._stop_requested = True
 
     def __repr__(self) -> str:  # pragma: no cover

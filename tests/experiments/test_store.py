@@ -8,10 +8,14 @@ from repro.experiments.chaos import ChaosSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.store import (
+    CODE_VERSION,
+    STORE_FORMAT,
     RunStore,
     config_digest,
     default_salt,
 )
+from repro.experiments.sweep import run_sweep
+from repro.obs.config import ObsConfig
 from repro.metrics.export import result_to_canonical_json
 
 CFG = ExperimentConfig(horizon=100.0, arrival_rate=4.0)
@@ -200,3 +204,32 @@ class TestRunStore:
             "writes": 1,
             "corrupt_lines": 0,
         }
+
+
+class TestCodeVersion5:
+    """Version 5 dropped the kernel's cohort-batching extras."""
+
+    def test_written_results_carry_no_cohort_data(self, tmp_path):
+        cfg = CFG.with_(obs=ObsConfig(samples_target=4))
+        store = RunStore(tmp_path)
+        store.put(store.digest(cfg), cfg, run_experiment(cfg))
+        store.flush()
+        record = RunStore(tmp_path).get_record(store.digest(cfg))
+        stored = record["result"]
+        assert not [k for k in stored["extra"] if k.startswith("cohort")]
+        assert stored["series"] is not None
+        assert "cohorts" not in stored["series"]
+
+    def test_version_4_store_is_recomputed_not_served(self, tmp_path):
+        assert CODE_VERSION == "5"
+        old = RunStore(tmp_path, salt=f"{STORE_FORMAT}:code=4")
+        stale = run_experiment(CFG)
+        stale.extra["cohorts"] = 7.0  # what a version-4 run recorded
+        old.put(old.digest(CFG), CFG, stale)
+        old.flush()
+
+        store = RunStore(tmp_path)
+        results = run_sweep([CFG.protocol], [CFG.arrival_rate], CFG, store=store)
+        assert store.hits == 0 and store.misses == 1 and store.writes == 1
+        fresh = results[CFG.protocol][CFG.arrival_rate]
+        assert "cohorts" not in fresh.extra

@@ -132,7 +132,7 @@ class TestProfiledRun:
         plain = run_experiment(cfg)
         with KernelProfiler():
             profiled = run_experiment(cfg)
-        assert plain.extra["cohorts"] > 0
+        assert plain.extra["delivered_messages"] > 0
         assert dataclasses.asdict(profiled) == dataclasses.asdict(plain)
 
     def test_profile_respects_until_and_max_events(self):

@@ -1,21 +1,22 @@
-"""2500-node heterogeneous-fleet churn scenario: scalar ≡ batched.
+"""2500-node heterogeneous-fleet churn scenario: grouped ≡ per-receiver delivery.
 
 The acceptance scenario for the fleet/churn axes at scale: a 50x50 torus
 with per-node capacity/speed/threshold draws and live join/leave churn
 must produce the identical event trace and run summary whether the
-kernel dispatches event cohorts vectorised (the default) or one event at
-a time.  This is the same observational-equivalence gate the plain
-fast-path suite applies, extended to the new axes.
+transport delivers each send as one event per arrival instant (the
+production path) or one event per receiver (the test reference).  This
+is the same observational-equivalence gate the plain fast-path suite
+applies, extended to the new axes.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.workload.churn import ChurnConfig
 from repro.workload.fleet import FleetConfig
+
+from tests.reference_transport import traced_run
 
 NODES = 2500
 
@@ -32,31 +33,14 @@ CFG = ExperimentConfig(
 )
 
 
-def _traced_run(cfg: ExperimentConfig, *, batching: bool):
-    system = build_system(cfg)
-    assert system.sim.cohort_batching  # default on
-    system.sim.set_cohort_batching(batching)
-    system.run()
-    trace = [
-        (rec.time, rec.category, tuple(sorted(rec.payload.items())))
-        for rec in system.sim.trace.records
-    ]
-    result = dataclasses.asdict(system.result())
-    # cohort_* extras are dispatch accounting, not observational output
-    for key in list(result["extra"]):
-        if key.startswith("cohort"):
-            del result["extra"][key]
-    return trace, result
-
-
 class TestHeterogeneousChurnAt2500:
     def test_scalar_and_batched_loops_identical(self):
-        batched = _traced_run(CFG, batching=True)
-        scalar = _traced_run(CFG, batching=False)
-        assert batched[0] == scalar[0]
-        assert batched[1] == scalar[1]
+        grouped = traced_run(CFG)
+        reference = traced_run(CFG, reference=True)
+        assert grouped[0] == reference[0]
+        assert grouped[1] == reference[1]
         # the scenario must actually exercise both axes, not vacuously pass
-        extra = batched[1]["extra"]
+        extra = grouped[1]["extra"]
         assert extra["churn_scheduled"] > 0
         assert extra["fleet_speed_cv"] > 0.0
 

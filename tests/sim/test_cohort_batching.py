@@ -1,30 +1,41 @@
-"""Cohort batching: the vectorized single-run fast path stays bit-identical.
+"""One delivery event per arrival instant, pinned against the per-receiver schedule.
 
-The kernel may hand a consecutive same-``(time, priority)`` run of one
-callback's events to a registered batch hook (one Python call instead of
-N) — these tests pin that the batched execution is *observationally
-identical* to the scalar pop loop: same trace, same result fields, same
-``events_executed``, at the 2500-node scaling tier, with impairments on
-and off, and across serial/parallel sweep execution.  The scalar
-reference is ``set_cohort_batching(False)``; the kernel has one run loop,
-which a profiler observes from outside without changing what it batches.
+The transport schedules a send as one kernel event per arrival instant
+and delivers that instant's receivers in one callback; the kernel has
+one pop-and-call loop and no batching API.  These tests pin that
+grouped delivery is *observationally identical* to the per-receiver
+schedule kept as a test reference
+(:class:`tests.reference_transport.PerReceiverTransport`): same trace,
+same result fields and counters, at the 2500-node scaling tier with
+impairments on and off, and across serial/parallel sweep execution.
+Only ``events_executed`` differs — it counts arrival groups.  The unit
+tests pin the group's ordering, budget and ``stop()`` semantics, and
+that ``Simulator.cohort_stats()`` is a zero stub.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
-from contextlib import nullcontext
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.experiments.sweep import run_sweep
+from repro.network.generators import mesh
 from repro.network.impairments import ImpairmentConfig
+from repro.network.transport import Transport
+from repro.obs.config import ObsConfig
 from repro.obs.profiler import KernelProfiler
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
+
+from tests.reference_transport import (
+    PerReceiverTransport,
+    per_receiver_delivery,
+    traced_run,
+)
 
 
 def _tier_config(
@@ -34,7 +45,7 @@ def _tier_config(
 
     Load against a small queue keeps threshold crossings, HELP floods
     and migrations active from the first second, so the trace witnesses
-    the cohort paths (flood fan-out deliveries) thousands of times.
+    flood fan-out deliveries thousands of times.
     """
     return ExperimentConfig(
         protocol="realtor",
@@ -51,75 +62,79 @@ def _tier_config(
     )
 
 
-def _traced_run(
-    cfg: ExperimentConfig, *, batching: bool, profiler=nullcontext()
-):
-    system = build_system(cfg)
-    assert system.sim.cohort_batching  # default on
-    system.sim.set_cohort_batching(batching)
-    with profiler:
-        system.run()
-    trace = [
-        (rec.time, rec.category, tuple(sorted(rec.payload.items())))
-        for rec in system.sim.trace.records
-    ]
-    result = dataclasses.asdict(system.result())
-    # cohort_* extras are dispatch accounting, not observational output:
-    # they *must* differ between the batched and scalar strategies
-    for key in list(result["extra"]):
-        if key.startswith("cohort"):
-            del result["extra"][key]
-    return trace, result, system.sim.events_executed, system.sim.cohort_stats()
-
-
 def _assert_identical(run_a, run_b, label: str) -> None:
-    trace_a, result_a, executed_a, _ = run_a
-    trace_b, result_b, executed_b, _ = run_b
-    assert executed_a == executed_b, f"{label}: events_executed differ"
+    trace_a, result_a, _ = run_a
+    trace_b, result_b, _ = run_b
     assert len(trace_a) == len(trace_b), f"{label}: trace length differs"
     for i, (rec_a, rec_b) in enumerate(zip(trace_a, trace_b)):
         assert rec_a == rec_b, f"{label}: trace diverges at record {i}"
     assert result_a == result_b, f"{label}: result fields differ"
 
 
+def _events(run) -> int:
+    return run[2].sim.events_executed
+
+
+def _recording_mesh(transport_cls=Transport, **kwargs):
+    """A 3x3 mesh whose every node logs ``(now, src, dst, kind)``."""
+    sim = Simulator()
+    topo = mesh(3, 3)
+    transport = transport_cls(sim, topo, **kwargs)
+    log = []
+
+    def record(d):
+        log.append((sim.now, d.src, d.dst, d.kind))
+
+    for node in topo.nodes():
+        transport.register(node, "M", record)
+    return sim, transport, log
+
+
 class TestBatchedEqualsScalar:
     def test_2500_nodes_bit_identical(self):
         cfg = _tier_config()
-        batched = _traced_run(cfg, batching=True)
-        scalar = _traced_run(cfg, batching=False)
-        assert batched[2] > 5_000  # the run is substantial
-        _assert_identical(batched, scalar, "clean 2500-node tier")
+        grouped = traced_run(cfg)
+        reference = traced_run(cfg, reference=True)
+        assert _events(reference) > 5_000  # the run is substantial
+        _assert_identical(grouped, reference, "clean 2500-node tier")
+        # grouping really happened: fewer events for the same deliveries
+        assert _events(grouped) < _events(reference)
 
     def test_2500_nodes_impaired_bit_identical(self):
-        """Loss/jitter/dup verdicts draw per delivery in schedule order —
-        batching must not reorder or coalesce the draws."""
+        """Loss/jitter/dup verdicts draw per receiver in receiver order —
+        grouping by arrival instant must not reorder or coalesce them."""
         cfg = _tier_config(impaired=True)
-        batched = _traced_run(cfg, batching=True)
-        scalar = _traced_run(cfg, batching=False)
-        _assert_identical(batched, scalar, "impaired 2500-node tier")
+        grouped = traced_run(cfg)
+        reference = traced_run(cfg, reference=True)
+        _assert_identical(grouped, reference, "impaired 2500-node tier")
+        assert grouped[1]["extra"]["impairment_dropped"] > 0
 
     def test_impairments_actually_change_the_run(self):
-        _, clean, _, _ = _traced_run(_tier_config(), batching=True)
-        _, lossy, _, _ = _traced_run(_tier_config(impaired=True), batching=True)
+        _, clean, _ = traced_run(_tier_config())
+        _, lossy, _ = traced_run(_tier_config(impaired=True))
         assert clean != lossy
 
 
 class TestProfiledLockstep:
     def test_profiled_run_bit_identical_to_plain(self):
-        """A profiled run executes the same batched loop as a plain one:
-        same trace, same result, and the same cohorts dispatched."""
+        """A profiled run executes the same loop as a plain one: same
+        trace, same result, same events, and grouped delivery ran."""
         cfg = _tier_config(nodes=250, horizon=10.0)
-        plain = _traced_run(cfg, batching=True)
+        plain = traced_run(cfg)
         profiler = KernelProfiler()
-        profiled = _traced_run(cfg, batching=True, profiler=profiler)
+        profiled = traced_run(cfg, profiler=profiler)
         _assert_identical(plain, profiled, "profiled vs plain")
-        assert profiled[3] == plain[3]
-        assert profiled[3]["cohorts"] > 0
-        assert profiler.report().by_subsystem["transport"] > 0.0
+        assert _events(profiled) == _events(plain)
+        report = profiler.report()
+        deliver_calls = report.by_callback["Transport._deliver"].calls
+        assert 0 < deliver_calls < profiled[2].transport.delivered_messages
+        assert report.by_subsystem["transport"] > 0.0
 
 
 class TestSweepEquivalence:
     def test_serial_vs_parallel_identical_at_2500_nodes(self):
+        """Serial and parallel sweeps agree, and both equal a serial
+        sweep over the per-receiver reference transport."""
         base = ExperimentConfig(
             topology="torus", nodes=2500, horizon=2.0, seed=3
         )
@@ -129,148 +144,147 @@ class TestSweepEquivalence:
         parallel = run_sweep(
             protocols, rates, base, parallel=True, max_workers=2
         )
+        with per_receiver_delivery():
+            reference = run_sweep(protocols, rates, base, parallel=False)
         for proto in protocols:
             for rate in rates:
-                assert dataclasses.asdict(serial[proto][rate]) == dataclasses.asdict(
+                cell = dataclasses.asdict(serial[proto][rate])
+                assert cell == dataclasses.asdict(
                     parallel[proto][rate]
                 ), f"{proto}@{rate} differs serial vs parallel"
+                assert cell == dataclasses.asdict(
+                    reference[proto][rate]
+                ), f"{proto}@{rate} differs from the per-receiver reference"
 
 
 class TestKernelCohortMechanics:
-    """Unit-level pins for the cohort drain itself."""
+    """Unit-level pins for arrival groups (the old cohort ids, kept)."""
 
     def test_cohort_handled_in_one_batch_call(self):
-        sim = Simulator()
-        calls = []
-        scalar_calls = []
-
-        def fn(i):
-            scalar_calls.append(i)
-
-        sim.register_batch(fn, lambda cohort: calls.append(list(cohort)))
-        for i in range(5):
-            sim.at(1.0, fn, i)
+        """A zero-latency flood is one heap entry and one event however
+        many nodes it reaches."""
+        sim, transport, log = _recording_mesh()
+        receivers = transport.flood(0, "M", None)
+        assert len(receivers) == 8
+        assert len(sim.queue) == 1
         sim.run()
-        assert calls == [[(0,), (1,), (2,), (3,), (4,)]]
-        assert scalar_calls == []  # the batch hook replaced the scalar body
-        assert sim.events_executed == 5
+        assert sim.events_executed == 1
+        assert [dst for _, _, dst, _ in log] == receivers
+        assert transport.delivered_messages == 8
 
     def test_lone_event_runs_scalar(self):
-        sim = Simulator()
-        batched, scalar = [], []
-
-        def fn(i):
-            scalar.append(i)
-
-        sim.register_batch(fn, lambda cohort: batched.extend(cohort))
-        sim.at(1.0, fn, 0)
-        sim.at(2.0, fn, 1)  # different instants: never a cohort
+        """A unicast is one event for its one receiver; with per-hop
+        latency a flood is one event per distinct arrival instant."""
+        sim, transport, log = _recording_mesh()
+        transport.unicast(0, 8, "M", None)
         sim.run()
-        assert scalar == [0, 1]
-        assert batched == []
+        assert sim.events_executed == 1
+        assert log == [(0.0, 0, 8, "M")]
 
-    def test_priority_splits_cohorts(self):
-        sim = Simulator()
-        calls = []
-        fn = lambda i: None  # noqa: E731
-        sim.register_batch(fn, lambda cohort: calls.append(list(cohort)))
-        sim.at(1.0, fn, 0, priority=Priority.STATE)
-        sim.at(1.0, fn, 1, priority=Priority.STATE)
-        sim.at(1.0, fn, 2, priority=Priority.MESSAGE)
-        sim.at(1.0, fn, 3, priority=Priority.MESSAGE)
+        sim, transport, log = _recording_mesh(per_hop_latency=0.5)
+        transport.flood(0, "M", None)
         sim.run()
-        assert calls == [[(0,), (1,)], [(2,), (3,)]]
-
-    def test_interleaved_callbacks_split_cohorts(self):
-        """Only *consecutive* same-callback runs group — an interleaved
-        other callback at the same instant splits the cohort, keeping
-        execution order exactly the scalar seq order."""
-        sim = Simulator()
-        order = []
-
-        def a(i):
-            order.append(("a-scalar", i))
-
-        def b(i):
-            order.append(("b", i))
-
-        sim.register_batch(a, lambda cohort: order.append(("a-batch", list(cohort))))
-        sim.at(1.0, a, 0)
-        sim.at(1.0, a, 1)
-        sim.at(1.0, b, 2)
-        sim.at(1.0, a, 3)
-        sim.at(1.0, a, 4)
-        sim.run()
-        assert order == [
-            ("a-batch", [(0,), (1,)]),
-            ("b", 2),
-            ("a-batch", [(3,), (4,)]),
+        # corner of a 3x3 mesh: receivers at depths 1, 2, 3 and 4
+        assert sim.events_executed == 4
+        assert [(t, dst) for t, _, dst, _ in log] == [
+            (0.5, 1), (0.5, 3), (1.0, 2), (1.0, 4), (1.0, 6),
+            (1.5, 5), (1.5, 7), (2.0, 8),
         ]
 
+    def test_priority_splits_cohorts(self):
+        """A delivery group runs in the MESSAGE band: a same-instant
+        STATE event runs before the whole group even when scheduled
+        after it, an ARRIVAL event after it."""
+        sim, transport, log = _recording_mesh()
+        transport.flood(0, "M", None)
+        sim.at(0.0, log.append, "arrival", priority=Priority.ARRIVAL)
+        sim.at(0.0, log.append, "state", priority=Priority.STATE)
+        sim.run()
+        assert log[0] == "state"
+        assert log[-1] == "arrival"
+        assert len(log) == 10
+
+    def test_interleaved_callbacks_split_cohorts(self):
+        """Two sends at one instant stay two events in send order, and a
+        same-band event scheduled between them runs between them — the
+        order the per-receiver schedule gives."""
+        runs = []
+        for cls in (Transport, PerReceiverTransport):
+            sim, transport, log = _recording_mesh(cls)
+            transport.flood(0, "M", None)
+            sim.at(0.0, log.append, "between", priority=Priority.MESSAGE)
+            transport.flood(8, "M", None)
+            sim.run()
+            runs.append((log, sim.events_executed))
+        (grouped, grouped_events), (reference, reference_events) = runs
+        assert grouped == reference
+        assert grouped[8] == "between"
+        assert [src for _, src, _, _ in grouped[:8]] == [0] * 8
+        assert grouped_events == 3
+        assert reference_events == 17
+
     def test_cancelled_events_skipped_at_drain(self):
+        """The one pop loop skips cancelled same-instant events and does
+        not count them."""
         sim = Simulator()
         seen = []
-        fn = lambda i: None  # noqa: E731
-        sim.register_batch(fn, lambda cohort: seen.extend(cohort))
-        events = [sim.at(1.0, fn, i) for i in range(6)]
-        sim.cancel(events[0])  # cohort leader cancelled
-        sim.cancel(events[3])  # mid-cohort cancelled
+        events = [sim.at(1.0, seen.append, i) for i in range(6)]
+        sim.cancel(events[0])  # the instant's first event cancelled
+        sim.cancel(events[3])  # one in the middle cancelled
         sim.run()
-        assert seen == [(1,), (2,), (4,), (5,)]
+        assert seen == [1, 2, 4, 5]
         assert sim.events_executed == 4
 
     def test_events_scheduled_by_batch_run_after_cohort(self):
-        """Same-instant events created by a batch member carry later
-        seqs — they run after the cohort, as in the scalar path."""
-        sim = Simulator()
-        order = []
+        """Events a handler schedules at the current instant carry later
+        seqs, so they run after the whole arrival group."""
+        sim, transport, log = _recording_mesh()
 
-        def child(i):
-            order.append(("child", i))
+        def first(d):
+            log.append((sim.now, d.src, d.dst, d.kind))
+            sim.at(sim.now, log.append, "child")
 
-        def fn(i):
-            pass
-
-        def batch(cohort):
-            order.append(("batch", list(cohort)))
-            for (i,) in cohort:
-                sim.at(sim.now, child, i)
-
-        sim.register_batch(fn, batch)
-        sim.at(1.0, fn, 0)
-        sim.at(1.0, fn, 1)
+        transport.register(1, "M", first)
+        transport.flood(0, "M", None)
         sim.run()
-        assert order == [
-            ("batch", [(0,), (1,)]),
-            ("child", 0),
-            ("child", 1),
-        ]
+        assert log[0][2] == 1  # the scheduling handler ran first
+        assert log[-1] == "child"
+        assert len(log) == 9
 
     def test_max_events_budget_respected_by_batching(self):
-        sim = Simulator()
-        seen = []
-        fn = lambda i: None  # noqa: E731
-        sim.register_batch(fn, lambda cohort: seen.extend(cohort))
-        for i in range(10):
-            sim.at(1.0, fn, i)
-        sim.run(max_events=4)
-        assert seen == [(0,), (1,), (2,), (3,)]
-        assert sim.events_executed == 4
+        """A fan-out is one event for the ``max_events`` budget, and a
+        ``stop()`` from a handler takes effect after its group."""
+        sim, transport, log = _recording_mesh()
+        transport.flood(0, "M", None)
+        later = []
+        sim.at(1.0, later.append, "later")
+        sim.run(max_events=1)
+        assert len(log) == 8  # the whole group, in one budgeted event
+        assert sim.events_executed == 1
+        assert later == []
+
+        sim, transport, log = _recording_mesh()
+        transport.register(1, "M", lambda d: (log.append(d.dst), sim.stop()))
+        transport.flood(0, "M", None)
+        sim.at(1.0, later.append, "later")
+        sim.run()
+        assert len(log) == 8  # receivers after the stopper still got it
+        assert later == []
+        assert sim.now == 0.0
 
     def test_toggle_forces_scalar_path(self):
-        sim = Simulator()
-        batched, scalar = [], []
-
-        def fn(i):
-            scalar.append(i)
-
-        sim.register_batch(fn, lambda cohort: batched.extend(cohort))
-        sim.set_cohort_batching(False)
-        for i in range(3):
-            sim.at(1.0, fn, i)
+        """There is no batching toggle; the per-receiver schedule lives
+        only in the test reference, which delivers the same messages
+        with one event per receiver."""
+        for name in ("register_batch", "set_cohort_batching", "cohort_batching"):
+            assert not hasattr(Simulator, name)
+        assert not hasattr(Transport, "_deliver_batch")
+        sim, transport, log = _recording_mesh(PerReceiverTransport)
+        transport.flood(0, "M", None)
+        assert len(sim.queue) == 8
         sim.run()
-        assert scalar == [0, 1, 2]
-        assert batched == []
+        assert sim.events_executed == 8
+        assert len(log) == 8
 
 
 class TestFinalizerSemantics:
@@ -423,31 +437,21 @@ class TestHeapCompaction:
 
 
 class TestCohortStats:
-    """The kernel's batched-dispatch accounting (RunResult "cohorts")."""
+    """``cohort_stats()`` is a zero stub, and results carry no cohort data."""
 
     def test_stats_account_for_every_batched_event(self):
-        sim = Simulator()
-        fn = lambda i: None  # noqa: E731
-        sim.register_batch(fn, lambda cohort: None)
-        for i in range(5):
-            sim.at(1.0, fn, i)   # one cohort of 5
-        for i in range(3):
-            sim.at(2.0, fn, i)   # one cohort of 3
-        sim.at(3.0, fn, 0)       # lone event: scalar, not a cohort
+        """Whatever runs, the stub reports zero counts in the old shape."""
+        sim, transport, _ = _recording_mesh()
+        transport.flood(0, "M", None)
+        sim.at(1.0, lambda: None)
         sim.run()
-        stats = sim.cohort_stats()
-        assert stats["cohorts"] == 2
-        assert stats["batched_events"] == 8
-        assert stats["size_histogram"] == {3: 1, 5: 1}
-        # histogram is self-consistent: occurrences sum to cohorts,
-        # size-weighted sum to batched events
-        assert sum(stats["size_histogram"].values()) == stats["cohorts"]
-        assert (
-            sum(s * c for s, c in stats["size_histogram"].items())
-            == stats["batched_events"]
-        )
-        assert stats["batched_share"] == pytest.approx(8 / 9)
-        assert sim.events_executed == 9
+        assert sim.events_executed == 2
+        assert sim.cohort_stats() == {
+            "cohorts": 0,
+            "batched_events": 0,
+            "batched_share": 0.0,
+            "size_histogram": {},
+        }
 
     def test_stats_zero_before_any_run(self):
         stats = Simulator().cohort_stats()
@@ -457,23 +461,18 @@ class TestCohortStats:
         assert stats["size_histogram"] == {}
 
     def test_stats_zero_with_batching_disabled(self):
-        sim = Simulator()
-        sim.set_cohort_batching(False)
-        fn = lambda i: None  # noqa: E731
-        sim.register_batch(fn, lambda cohort: None)
-        for i in range(5):
-            sim.at(1.0, fn, i)
+        # the per-receiver reference reports zero as well
+        sim, transport, _ = _recording_mesh(PerReceiverTransport)
+        transport.flood(0, "M", None)
         sim.run()
         stats = sim.cohort_stats()
         assert stats["cohorts"] == 0
         assert stats["batched_events"] == 0
-        assert sim.events_executed == 5
+        assert sim.events_executed == 8
 
     def test_stats_zero_under_profiled_loop(self):
-        # profiling the scalar reference leaves it scalar
         cfg = _tier_config(nodes=250, horizon=2.0)
         system = build_system(cfg)
-        system.sim.set_cohort_batching(False)
         with KernelProfiler():
             system.run()
         stats = system.sim.cohort_stats()
@@ -482,16 +481,15 @@ class TestCohortStats:
         assert system.sim.events_executed > 0
 
     def test_tier_run_stats_land_on_result_extra(self):
-        cfg = _tier_config(nodes=250, horizon=2.0)
+        """Nothing cohort-related lands on a result any more: no
+        ``cohort*`` extra, and no ``series["cohorts"]`` on obs runs."""
+        cfg = _tier_config(nodes=250, horizon=2.0).with_(
+            obs=ObsConfig(samples_target=4)
+        )
         system = build_system(cfg)
         system.run()
         result = system.result()
-        stats = system.sim.cohort_stats()
-        assert result.extra["cohorts"] == float(stats["cohorts"])
-        assert result.extra["cohort_batched_events"] == float(
-            stats["batched_events"]
-        )
-        assert result.extra["cohort_batched_share"] == pytest.approx(
-            stats["batched_share"]
-        )
-        assert stats["batched_events"] > 0  # the tier really batches
+        assert not [key for key in result.extra if key.startswith("cohort")]
+        assert result.series is not None
+        assert "cohorts" not in result.series
+        assert result.extra["delivered_messages"] > 0
