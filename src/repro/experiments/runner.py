@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.realtor import RealtorAgent
 from ..metrics.collector import MetricsCollector, RunResult
@@ -49,7 +49,9 @@ from .config import ExperimentConfig
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.api import SchedulerAPI, TransportAPI
 
-__all__ = ["System", "assemble", "build_system", "run_experiment"]
+__all__ = [
+    "System", "assemble", "build_system", "run_experiment", "transport_wiring",
+]
 
 
 def _build_topology(cfg: ExperimentConfig) -> Topology:
@@ -110,6 +112,27 @@ def _cost_model(cfg: ExperimentConfig) -> CostModel:
         unicast_mode=mode,
         fixed_unicast_cost=cfg.fixed_unicast_cost,
         flood_cost_override=cfg.flood_cost_override,
+    )
+
+
+def transport_wiring(
+    cfg: ExperimentConfig, faults: FaultManager, metrics: MetricsCollector
+) -> Dict[str, Any]:
+    """The keyword arguments every system's transport is built with.
+
+    Shared by :func:`build_system` and the live runtime, so a simulated
+    and a live transport follow the same liveness and cost rules.
+    """
+    return dict(
+        # the transport's liveness is communication ability: a
+        # compromised node still talks (to evacuate); only crashed
+        # nodes fall silent
+        is_up=faults.can_communicate,
+        # failed links drop out of floods and unicast routes alike
+        link_up=faults.link_up,
+        liveness_version=lambda: faults.version,
+        cost_model=_cost_model(cfg),
+        on_cost=metrics.on_cost,
     )
 
 
@@ -379,17 +402,9 @@ def build_system(cfg: ExperimentConfig) -> System:
         return Transport(
             sim,
             topo,
-            # the transport's liveness is communication ability: a
-            # compromised node still talks (to evacuate); only crashed
-            # nodes fall silent
-            is_up=faults.can_communicate,
-            # failed links drop out of floods and unicast routes alike
-            link_up=faults.link_up,
-            liveness_version=lambda: faults.version,
-            cost_model=_cost_model(cfg),
             per_hop_latency=cfg.per_hop_latency,
-            on_cost=metrics.on_cost,
             impairments=impairments,
+            **transport_wiring(cfg, faults, metrics),
         )
 
     return assemble(cfg, sim, metrics, make_transport)

@@ -5,7 +5,10 @@ assembler, :func:`~repro.experiments.runner.assemble`, from the same
 :class:`~repro.experiments.config.ExperimentConfig`, handing it the live
 side of the runtime seam: a :class:`~repro.live.scheduler.LiveScheduler`
 for time, a :class:`~repro.live.transport.LiveTransport` for messaging
-and a collector that times settlements.  Topology, hosts (fleet
+(the simulated transport over a real wire, wired to the fault manager
+and collector by the simulator's own
+:func:`~repro.experiments.runner.transport_wiring`) and a collector
+that times settlements.  Topology, hosts (fleet
 parameters and resource pools included), discovery agents, admission
 controls, the migration coordinator, the workload and the metrics
 registry are therefore built by the one code path the simulator uses;
@@ -30,7 +33,8 @@ Additions that only make sense live:
 * graceful drain: after the horizon the runtime keeps the clock running
   until every generated task settles (or a drain timeout expires), then
   stops agents, closes the transport and reports whether shutdown was
-  clean.
+  clean.  A message handler that raises ends the run instead: the
+  exception propagates from :meth:`LiveRuntime.run` after teardown.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from ..cluster.naming import NamingService
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import _cost_model, assemble
+from ..experiments.runner import assemble, transport_wiring
 from ..metrics.collector import MetricsCollector
 from ..network.faults import FaultManager
 from ..network.topology import Topology
@@ -117,7 +121,8 @@ class LiveConfig:
         # Settings LiveTransport / LiveRuntime have no route for.
         if exp.unicast_cost != "fixed":
             raise ValueError(
-                "unicast_cost: live unicasts always charge fixed_unicast_cost"
+                "unicast_cost: a live unicast is one switched-LAN message; "
+                "use \"fixed\""
             )
         if exp.impairments is not None and exp.impairments.enabled:
             raise ValueError("impairments: the live transport has no impairment hook")
@@ -208,11 +213,8 @@ class LiveRuntime:
                 self.sim,
                 topo,
                 backend=cfg.backend,
-                is_up=faults.can_communicate,
-                link_up=faults.link_up,
-                cost_model=_cost_model(exp),
                 latency=cfg.latency,
-                on_cost=self.metrics.on_cost,
+                **transport_wiring(exp, faults, self.metrics),
             )
 
         self.system = assemble(exp, self.sim, self.metrics, make_transport)
@@ -244,9 +246,14 @@ class LiveRuntime:
     # Execution ----------------------------------------------------------
 
     async def run(self) -> Dict[str, object]:
-        """Generate load to the horizon, drain, shut down, report."""
+        """Generate load to the horizon, drain, shut down, report.
+
+        The first exception a message handler raised ends the run; it
+        propagates from here after teardown.
+        """
         cfg = self.cfg
-        await self.transport.start()
+        transport = self.transport
+        await transport.start()
         if cfg.progress_interval is not None:
             self._progress_handle = self.sim.shared_periodic(
                 cfg.progress_interval, self._progress_line
@@ -258,7 +265,11 @@ class LiveRuntime:
         # nothing is outstanding or the drain budget is spent.
         deadline = self.sim.now + cfg.drain_timeout
         slice_ = max(cfg.drain_timeout / 20.0, 1e-3)
-        while self.metrics.unsettled > 0 and self.sim.now < deadline:
+        while (
+            transport.handler_error is None
+            and self.metrics.unsettled > 0
+            and self.sim.now < deadline
+        ):
             await self.sim.run(until=min(self.sim.now + slice_, deadline))
         self._wall_elapsed = perf_counter() - wall0
         self.drained = self.metrics.unsettled == 0
@@ -270,10 +281,10 @@ class LiveRuntime:
         for agent in self.system.agents.values():
             agent.stop()
         self.system.generator.stop()
-        await self.transport.aclose()
-        self.clean_shutdown = (
-            self.drained and self.transport.node_task_count == 0
-        )
+        await transport.aclose()
+        if transport.handler_error is not None:
+            raise transport.handler_error
+        self.clean_shutdown = self.drained and transport.node_task_count == 0
         return self.report()
 
     # Reporting ----------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Live message transport: the same surface as the simulated one.
+"""Live message transport: the simulated transport over a real wire.
 
-:class:`LiveTransport` implements :class:`~repro.runtime.api.TransportAPI`
-— ``register``/``unregister``/``unicast``/``flood``/``multicast`` with
-the same cost accounting hooks — over two interchangeable backends:
+:class:`LiveTransport` *is* a :class:`~repro.network.transport.Transport`.
+Registration, ``unicast``/``flood``/``multicast``, cost charging,
+liveness and link checks, the live-overlay router and the
+``sent``/``delivered``/``dropped`` counters are all inherited, so a
+live run follows the simulator's rules exactly: floods reach the
+sender's component of the live overlay and charge its links (or the
+cost model's override), unicasts to a partitioned or crashed node are
+dropped and charged as attempted routes.  What live adds is the wire
+that carries each arrival to its receiver, plus
+:meth:`~repro.network.transport.Transport._deliver` on the far side:
 
 * ``inproc`` — every node is its **own asyncio task** draining a
   mailbox queue; a send enqueues onto the destination's mailbox and the
-  node task dispatches to the registered handler.  This is the default:
-  no serialisation, no sockets, deterministic enough for the
-  live-vs-sim equivalence tests.
+  node task delivers it.  This is the default: no serialisation, no
+  sockets, deterministic enough for the live-vs-sim equivalence tests.
 * ``udp`` — every node binds a real UDP datagram endpoint on the
   loopback interface; a pickled envelope crosses the kernel socket
   layer while the payload object rides a per-message side table.
@@ -28,29 +34,25 @@ seconds — divided by the scheduler's ``time_scale`` on the wire — and
 the default cost model is :func:`~repro.cluster.rmi.LanCostModel`
 (IP-multicast flood = 1 message, switched unicast = 1 message).
 
-Counter names (``sent_messages``/``delivered_messages``/
-``dropped_messages``) match the simulated transport so
-:func:`~repro.obs.registry.install_run_probes` wires either one
-untouched.
+A handler that raises does not take its node's mailbox down with it:
+the first exception is kept in :attr:`LiveTransport.handler_error` and
+the scheduler is stopped, and the live runtime re-raises it after
+teardown, as an exception in a handler ends ``Simulator.run``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..cluster.rmi import LanCostModel, LanParameters
 from ..network.topology import NodeId, Topology
-from ..network.transport import CostModel
-from ..runtime.api import Delivery
+from ..network.transport import Arrivals, CostModel, CostSink, LinkPredicate, Transport
 
 from .scheduler import LiveScheduler
 
 __all__ = ["LiveTransport", "BACKENDS"]
-
-Handler = Callable[[Delivery], None]
-CostSink = Callable[[str, float], None]
 
 BACKENDS = ("inproc", "udp")
 
@@ -68,41 +70,35 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr) -> None:  # pragma: no cover - thin
         try:
             src, kind, token, sent_at = pickle.loads(data)
-        except Exception:
-            self.ref.dropped_messages += 1
-            return
-        try:
             payload = self.ref._payloads.pop(token)
-        except KeyError:
-            # Duplicate or forged datagram: no payload to deliver.
+        except Exception:
+            # Garbled, duplicate or forged datagram: nothing to deliver.
             self.ref.dropped_messages += 1
             return
-        self.ref._dispatch(self.node, src, kind, payload, sent_at)
+        self.ref._arrive(self.node, src, kind, payload, sent_at)
 
 
-class LiveTransport:
-    """Asynchronous message delivery over the overlay topology.
+class LiveTransport(Transport):
+    """The simulated transport's rules, delivered by mailboxes or sockets.
 
     Parameters
     ----------
     sim:
         The live scheduler (clock + virtual/wall conversion).
     topo:
-        Overlay topology; floods honour it exactly like the simulated
-        transport (``neighbors_only`` restricts to direct neighbours).
+        Overlay topology, as for :class:`Transport`.
     backend:
         ``"inproc"`` (default) or ``"udp"`` — see the module docstring.
-    is_up / link_up:
-        Liveness predicates, defaulting to "always up"; the fault
-        manager supplies the real ones.
+    is_up / link_up / liveness_version / on_cost:
+        As for :class:`Transport`.
     cost_model:
         Defaults to :func:`~repro.cluster.rmi.LanCostModel` — the LAN
         accounting of Section 6, not the WAN hop counting of Section 5.
     lan:
         Socket timing defaults; ``lan.latency`` is the per-message
         one-way delay in virtual seconds.
-    on_cost:
-        ``(kind, cost)`` sink, once per send (metrics collector).
+    latency:
+        Overrides ``lan.latency``.
     """
 
     def __init__(
@@ -112,7 +108,8 @@ class LiveTransport:
         *,
         backend: str = "inproc",
         is_up: Optional[Callable[[NodeId], bool]] = None,
-        link_up: Optional[Callable[[NodeId, NodeId], bool]] = None,
+        link_up: Optional[LinkPredicate] = None,
+        liveness_version: Optional[Callable[[], int]] = None,
         cost_model: Optional[CostModel] = None,
         lan: Optional[LanParameters] = None,
         latency: Optional[float] = None,
@@ -120,17 +117,22 @@ class LiveTransport:
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-        self.sim = sim
-        self.topo = topo
+        super().__init__(
+            sim,
+            topo,
+            is_up=is_up,
+            link_up=link_up,
+            liveness_version=liveness_version,
+            cost_model=cost_model if cost_model is not None else LanCostModel(),
+            on_cost=on_cost,
+        )
         self.backend = backend
-        self.is_up = is_up if is_up is not None else (lambda _n: True)
-        self.link_up = link_up
-        self.lan = lan if lan is not None else LanParameters()
-        self.cost_model = cost_model if cost_model is not None else LanCostModel()
+        if latency is None:
+            latency = (lan if lan is not None else LanParameters()).latency
         #: one-way delivery delay, virtual seconds (LAN default 0.2 ms)
-        self.latency = self.lan.latency if latency is None else float(latency)
-        self.on_cost = on_cost
-        self._handlers: Dict[NodeId, Dict[str, Handler]] = {}
+        self.latency = float(latency)
+        #: first exception a message handler raised (None while all is well)
+        self.handler_error: Optional[Exception] = None
         self._mailboxes: Dict[NodeId, asyncio.Queue] = {}
         self._node_tasks: Dict[NodeId, asyncio.Task] = {}
         self._endpoints: Dict[NodeId, tuple] = {}  # node -> (transport, addr)
@@ -140,9 +142,6 @@ class LiveTransport:
         self._next_token = 0
         self._started = False
         self._closed = False
-        self.sent_messages = 0
-        self.delivered_messages = 0
-        self.dropped_messages = 0
 
     # Lifecycle -----------------------------------------------------------
 
@@ -192,111 +191,39 @@ class LiveTransport:
         """Live mailbox tasks (diagnostics / clean-shutdown check)."""
         return sum(1 for t in self._node_tasks.values() if not t.done())
 
-    # Registration --------------------------------------------------------
+    # The wire -------------------------------------------------------------
 
-    def register(self, node: NodeId, kind: str, handler: Handler) -> None:
-        if not self.topo.has_node(node):
-            raise KeyError(f"no such node: {node}")
-        self._handlers.setdefault(node, {})[kind] = handler
+    def _send(self, src: NodeId, arrivals: Arrivals, kind: str, payload: Any) -> None:
+        """Put every arrival of one send on its receiver's wire.
 
-    def unregister(self, node: NodeId) -> None:
-        self._handlers.pop(node, None)
-
-    # Sending -----------------------------------------------------------
-
-    def unicast(self, src: NodeId, dst: NodeId, kind: str, payload: Any) -> bool:
-        """Point-to-point send; ``True`` when dispatched onto the wire."""
-        if not self.is_up(src):
-            return False
-        if not self.topo.has_node(dst):
-            raise KeyError(f"no such node: {dst}")
-        self.sent_messages += 1
-        self._charge(kind, self.cost_model.fixed_unicast_cost)
-        if not self.is_up(dst):
-            self.dropped_messages += 1
-            return False
-        self._send(src, dst, kind, payload)
-        return True
-
-    def flood(
-        self, src: NodeId, kind: str, payload: Any, *, neighbors_only: bool = False
-    ) -> List[NodeId]:
-        """One logical multicast; receivers per the configured scope."""
-        if not self.is_up(src):
-            return []
-        self.sent_messages += 1
-        link_up = self.link_up
-        if neighbors_only:
-            receivers = [
-                n
-                for n in self.topo.neighbors(src)
-                if self.is_up(n) and (link_up is None or link_up(src, n))
-            ]
-        else:
-            receivers = [
-                n for n in self.topo.nodes() if n != src and self.is_up(n)
-            ]
-        cost = self.cost_model.flood_cost_override
-        if cost is None:
-            cost = float(self.topo.num_links)
-        self._charge(kind, cost)
-        for dst in receivers:
-            self._send(src, dst, kind, payload)
-        return receivers
-
-    def multicast(
-        self,
-        src: NodeId,
-        dests: Iterable[NodeId],
-        kind: str,
-        payload: Any,
-        *,
-        cost: Optional[float] = None,
-    ) -> List[NodeId]:
-        """Send to an explicit receiver set (LAN IP multicast: cost 1)."""
-        if not self.is_up(src):
-            return []
-        self.sent_messages += 1
-        receivers: List[NodeId] = []
-        total = 0.0
-        for dst in sorted(set(dests)):
-            if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
-                continue
-            total += self.cost_model.fixed_unicast_cost
-            receivers.append(dst)
-            self._send(src, dst, kind, payload)
-        self._charge(kind, cost if cost is not None else total)
-        return receivers
-
-    # Internals ------------------------------------------------------------
-
-    def _charge(self, kind: str, cost: float) -> None:
-        if self.on_cost is not None:
-            self.on_cost(kind, cost)
-
-    def _send(self, src: NodeId, dst: NodeId, kind: str, payload: Any) -> None:
+        Live transports take neither per-hop latency nor impairments, so
+        every delay is zero; the one-way LAN latency is applied by the
+        receiving node task.
+        """
         sent_at = self.sim.now
         if self.backend == "inproc":
-            queue = self._mailboxes.get(dst)
-            if queue is None:
-                self.dropped_messages += 1
-                return
-            queue.put_nowait((src, kind, payload, sent_at))
+            for dst, _delay in arrivals:
+                queue = self._mailboxes.get(dst)
+                if queue is None:
+                    self.dropped_messages += 1
+                    continue
+                queue.put_nowait((src, kind, payload, sent_at))
             return
-        endpoint = self._endpoints.get(dst)
         sender = self._endpoints.get(src)
-        if endpoint is None or sender is None:
-            self.dropped_messages += 1
-            return
-        token = self._next_token
-        self._next_token += 1
-        try:
-            data = pickle.dumps((src, kind, token, sent_at))
-        except Exception:
-            self.dropped_messages += 1
-            return
-        self._payloads[token] = payload
-        sender[0].sendto(data, endpoint[1])
+        for dst, _delay in arrivals:
+            endpoint = self._endpoints.get(dst)
+            if endpoint is None or sender is None:
+                self.dropped_messages += 1
+                continue
+            token = self._next_token
+            self._next_token += 1
+            try:
+                data = pickle.dumps((src, kind, token, sent_at))
+            except Exception:
+                self.dropped_messages += 1
+                continue
+            self._payloads[token] = payload
+            sender[0].sendto(data, endpoint[1])
 
     async def _node_loop(self, node: NodeId, queue: asyncio.Queue) -> None:
         """One node's mailbox task: serialise deliveries like a NIC would.
@@ -312,20 +239,16 @@ class LiveTransport:
                 break
             if wall_latency > 0:
                 await asyncio.sleep(wall_latency)
-            src, kind, payload, sent_at = item
-            self._dispatch(node, src, kind, payload, sent_at)
+            self._arrive(node, *item)
 
-    def _dispatch(
-        self, dst: NodeId, src: NodeId, kind: str, payload: Any, sent_at: float
+    def _arrive(
+        self, node: NodeId, src: NodeId, kind: str, payload: Any, sent_at: float
     ) -> None:
-        """Hand one arrived message to its handler (liveness re-checked)."""
-        if not self.is_up(dst):
-            self.dropped_messages += 1
-            return
-        handlers = self._handlers.get(dst)
-        handler = handlers.get(kind) if handlers is not None else None
-        if handler is None:
-            self.dropped_messages += 1
-            return
-        self.delivered_messages += 1
-        handler(Delivery(src, dst, kind, payload, sent_at, self.sim.now))
+        """Deliver one arrived message; keep the first handler exception
+        and stop the scheduler on it."""
+        try:
+            self._deliver(src, (node,), kind, payload, sent_at)
+        except Exception as exc:
+            if self.handler_error is None:
+                self.handler_error = exc
+                self.sim.stop()

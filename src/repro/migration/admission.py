@@ -31,8 +31,6 @@ __all__ = ["AdmissionControl", "KIND_ADMIT_REQ", "KIND_ADMIT_REP"]
 KIND_ADMIT_REQ = "ADMIT_REQ"
 KIND_ADMIT_REP = "ADMIT_REP"
 
-_negotiation_ids = itertools.count()
-
 
 @dataclass(frozen=True)
 class AdmitRequest:
@@ -84,6 +82,10 @@ class AdmissionControl:
         self.reply_timeout = reply_timeout
         #: whether this node may take on new work (false while compromised)
         self.accepting = accepting if accepting is not None else (lambda: True)
+        #: negotiation ids key ``_pending`` and come back in replies to
+        #: this controller only, so a per-controller counter suffices
+        #: (and keeps ids equal across same-seed runs in one process)
+        self._negotiation_ids = itertools.count()
         self._pending: Dict[int, Callable[[bool], None]] = {}
         self._timeouts: Dict[int, "TimerHandle"] = {}
         self.requests_received = 0
@@ -111,7 +113,7 @@ class AdmissionControl:
         """Ask ``candidate`` to admit ``task``; ``callback(granted)`` fires
         exactly once — on the reply, on an undeliverable request, or on
         timeout."""
-        nid = next(_negotiation_ids)
+        nid = next(self._negotiation_ids)
         req = AdmitRequest(nid, self.node_id, task, outcome)
         self._pending[nid] = callback
         sent = self.transport.unicast(self.node_id, candidate, KIND_ADMIT_REQ, req)

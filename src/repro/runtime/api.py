@@ -10,7 +10,9 @@ kernel directly.  Two environments implement it:
   — virtual time, deterministic event ordering, the paper's cost
   accounting (every published figure runs here);
 * :class:`repro.live.scheduler.LiveScheduler` + :class:`repro.live.transport.LiveTransport`
-  — wall-clock asyncio, one task per node, optionally real UDP sockets.
+  — wall-clock asyncio, one task per node, optionally real UDP sockets;
+  the live transport subclasses the simulated one and replaces only
+  the wire, so both count and scope messages by one set of rules.
 
 The contract is structural (:class:`typing.Protocol`): the simulator
 satisfies it without inheriting from anything, so the hot paths carry no
@@ -209,10 +211,12 @@ class SchedulerAPI(Protocol):
 class TransportAPI(Protocol):
     """The unicast/flood/multicast surface agents send through.
 
-    Implemented by :class:`repro.network.transport.Transport` (simulated
-    delivery with the paper's cost accounting) and
-    :class:`repro.live.transport.LiveTransport` (asyncio mailboxes or
-    real UDP datagrams).  ``topo`` exposes at least
+    Implemented by :class:`repro.network.transport.Transport`, which
+    holds every send, cost and liveness rule and delivers through
+    scheduled events.  :class:`repro.live.transport.LiveTransport` is a
+    ``Transport`` whose wire is asyncio mailboxes or real UDP datagrams,
+    so floods and unicasts reach and charge the same nodes under faults
+    in both runtimes.  ``topo`` exposes at least
     ``neighbors(node)`` / ``has_node(node)`` / ``nodes()`` — the calls
     protocol scoping makes.
     """

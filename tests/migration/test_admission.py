@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.migration.admission import AdmissionControl
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_system
+from repro.migration.admission import KIND_ADMIT_REQ, AdmissionControl
 from repro.network.faults import FaultManager
 from repro.network.generators import mesh
 from repro.network.transport import Transport
@@ -157,3 +159,27 @@ class TestStaleRequest:
         assert len(hosts[1].queue) == 0
         assert hosts[1].pool.availability_vector() == {"bandwidth": 8.0}
         assert t.status is TaskStatus.REJECTED and t.migrations == 0
+
+
+class TestNegotiationIds:
+    def test_same_seed_systems_issue_identical_ids(self):
+        cfg = ExperimentConfig(protocol="realtor", arrival_rate=8.0, horizon=60.0, seed=5)
+
+        def issued_ids():
+            system = build_system(cfg)
+            transport = system.transport
+            send = transport.unicast
+            ids = []
+
+            def recording(src, dst, kind, payload):
+                if kind == KIND_ADMIT_REQ:
+                    ids.append((system.sim.now, src, payload.negotiation_id))
+                return send(src, dst, kind, payload)
+
+            transport.unicast = recording
+            system.run()
+            return ids
+
+        first = issued_ids()
+        assert first, "no negotiation ran"
+        assert issued_ids() == first

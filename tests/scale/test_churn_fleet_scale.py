@@ -24,8 +24,10 @@ CFG = ExperimentConfig(
     protocol="realtor",
     topology="torus",
     nodes=NODES,
-    arrival_rate=250.0,  # offered load 0.5 at task mean 5
-    horizon=5.0,
+    # offered load 1.2 at task mean 5: hot nodes call for HELP, so
+    # delivery and migration run, not only arrivals and churn
+    arrival_rate=600.0,
+    horizon=15.0,
     seed=13,
     trace=True,
     fleet=FleetConfig.heterogeneous(),
@@ -43,6 +45,9 @@ class TestHeterogeneousChurnAt2500:
         extra = grouped[1]["extra"]
         assert extra["churn_scheduled"] > 0
         assert extra["fleet_speed_cv"] > 0.0
+        assert extra["sent_messages"] > 0
+        assert extra["delivered_messages"] > 0
+        assert grouped[1]["admitted_migrated"] > 0
 
     def test_fleet_materialisation_is_node_keyed(self):
         """Fleet draws come from per-node substreams: the same node gets
